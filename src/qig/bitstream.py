@@ -155,13 +155,27 @@ def write_bit_record(record: BitRecord, path) -> None:
 
 
 def parse_bit_record(text: str) -> BitRecord:
-    """Inverse of :func:`format_bit_record`."""
+    """Inverse of :func:`format_bit_record`.
+
+    Malformed text raises a ValueError naming the missing header field, or
+    the line number and the row at fault.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("bit record text must start with a '# observers=... seed=...' header")
     header = lines[0][1:].strip()
-    fields = dict(part.split("=", 1) for part in header.split())
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+    for key in ("observers", "seed"):
+        if key not in fields:
+            raise ValueError(f"bit record header {lines[0]!r} has no '{key}=' field")
     observers = tuple(fields["observers"].split(","))
     seed = int(fields["seed"])
+    width = len(observers)
+    if set(map(len, lines[1:])) - {width} or set("".join(lines[1:])) - {"0", "1"}:
+        numbered = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        k, row = next((k, r) for k, r in numbered[1:] if len(r) != width or r.strip("01"))
+        raise ValueError(
+            f"line {k}: expected {width} '0'/'1' characters (one per observer), got {row!r}"
+        )
     rows = [[int(c) for c in ln] for ln in lines[1:]]
     return BitRecord(observers=observers, runs=np.array(rows, dtype=np.uint8), seed=seed)

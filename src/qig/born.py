@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import DetectorSetting, StateVector, detector_projectors, measurement_rotation
+from .states import DetectorSetting, StateVector, detector_projectors
 
 # probabilities at or below this are treated as exact zeros
 ZERO_EPS = 1e-15
@@ -112,6 +112,30 @@ class ConditionalTable:
                              tuple(int(b) for b in given_outcome))]
 
 
+def joint_probs(state: StateVector, polars, azimuths=None) -> np.ndarray:
+    """Born tables float[N, 2^n] for N rows of per-slot detector angles.
+
+    ``polars`` and ``azimuths`` (zero when omitted) are [N, n].  Slot k of
+    row r is turned by the unitary whose row o is the bra of the outcome-o
+    direction, so outcome probabilities become squared amplitudes.
+    """
+    n, polars = state.n_qubits, np.asarray(polars, dtype=float)
+    if polars.ndim != 2 or polars.shape[1] != n:
+        raise ValueError(f"need {n} settings (one per qubit) per row, got shape {polars.shape}")
+    phase = np.exp(-1j * (0.0 if azimuths is None else np.asarray(azimuths, dtype=float)))
+    cos, sin = np.cos(polars), np.sin(polars)
+    rot = np.stack([np.stack([-sin, phase * cos], -1), np.stack([cos, phase * sin], -1)], -2)
+    rows = len(polars)
+    psi = np.broadcast_to(state.amplitudes, (rows, 2**n))
+    for k in range(n):
+        # one 2x2 matrix product per row, with slot k moved to the front:
+        # each row then rounds exactly as a batch of one does
+        front = psi.reshape(rows, 2**k, 2, -1).transpose(0, 2, 1, 3)
+        out = np.matmul(rot[:, k], front.reshape(rows, 2, -1))
+        psi = out.reshape(rows, 2, 2**k, -1).transpose(0, 2, 1, 3)
+    return np.abs(psi.reshape(rows, -1)) ** 2
+
+
 def joint_distribution(
     state: StateVector, settings: Sequence[DetectorSetting]
 ) -> OutcomeDistribution:
@@ -119,19 +143,13 @@ def joint_distribution(
 
     p(outcome) is the squared norm of the state after applying each slot's
     outcome projector, which for rank-1 projectors equals the squared
-    amplitude in the rotated product basis.
+    amplitude in the rotated product basis; the one-row case of
+    :func:`joint_probs`.
     """
-    n = state.n_qubits
-    if len(settings) != n:
-        raise ValueError(f"need {n} settings (one per qubit), got {len(settings)}")
-    psi = state.as_tensor()
-    for k, setting in enumerate(settings):
-        rot = measurement_rotation(setting)
-        psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [k])), 0, k)
-    probs = np.abs(psi.reshape(-1)) ** 2
+    probs = joint_probs(state, [[s.polar for s in settings]], [[s.azimuth for s in settings]])
     return OutcomeDistribution(
         observers=tuple(s.observer for s in settings),
-        probs=probs,
+        probs=probs[0],
         provenance="exact",
     )
 

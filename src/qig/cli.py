@@ -215,12 +215,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"sweep supports ghz3, w3, product3; got {args.state!r}")
     rows = sweep_surface(mapping[name], grid_n=args.grid)
     if args.format == "csv":
-        table = [
-            [r.beta, r.gamma, r.d_ab, r.d_ac, r.d_bc,
-             r.area_info, r.area_euclid, r.euclid_defined, r.ratio]
-            for r in rows
-        ]
-        text = emit_csv(SWEEP_HEADER, table, args)
+        text = emit_csv(SWEEP_HEADER, [list(r.as_dict().values()) for r in rows], args)
     else:
         text = emit_json({"state": args.state, "grid_n": args.grid,
                           "rows": [r.as_dict() for r in rows]}, args)
@@ -244,11 +239,7 @@ def cmd_scan(args) -> int:
         lo, hi = lo * math.pi / 180.0, hi * math.pi / 180.0
     result = scan_delta(lo, hi, steps, state=state)
     if args.format == "csv":
-        table = [
-            [r.delta, r.d_a1b2, r.d_a1b1, r.d_a2b1, r.d_a2b2, r.margin, r.violated]
-            for r in result.rows
-        ]
-        text = emit_csv(SCAN_HEADER, table, args)
+        text = emit_csv(SCAN_HEADER, [list(r.as_dict().values()) for r in result.rows], args)
     else:
         text = emit_json(
             {

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .born import joint_distribution
-from .entropy import EntropyTable, build_entropy_table
+from .born import joint_probs
+from .entropy import EntropyTable, subset_entropies
 from .states import DetectorSetting, StateVector
 
 # margins / Heron factors within this of zero count as exact zeros, so
@@ -55,6 +55,11 @@ def _elementary_symmetric(values: Sequence[float], k: int) -> float:
     return total
 
 
+def _snap(x):
+    """Float or array ``x`` with values within VIOLATION_TOL of zero set to 0.0."""
+    return x * (abs(x) > VIOLATION_TOL) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def distance(table: EntropyTable, x: str, y: str) -> float:
     """Information distance 2 H(XY) - H(X) - H(Y), in bits."""
     if x == y:
@@ -69,7 +74,8 @@ def area(table: EntropyTable, x: str, y: str, z: str) -> float:
     Symmetric sum of pairwise products of the three fully conditioned
     entropies.  An equivalent expansion purely in joint entropies is
     evaluated alongside as a self-check; disagreement beyond 1e-10 means a
-    broken entropy table and raises.
+    broken entropy table and raises.  Values within 1e-12 of zero snap to 0.
+    A batched table gives one area per row, each row self-checked.
     """
     labels = tuple(sorted((x, y, z)))
     if len(set(labels)) != 3:
@@ -85,11 +91,14 @@ def area(table: EntropyTable, x: str, y: str, z: str) -> float:
         - 2.0 * (h_xy + h_yz + h_xz) * h3
         + (h_xz * h_yz + h_xy * h_xz + h_xy * h_yz)
     )
-    if abs(value - poly) > AREA_FORM_TOL:
+    gap = abs(value - poly)
+    if np.any(gap > AREA_FORM_TOL):
+        k = np.argmax(gap)  # the worst row of a batch
         raise ArithmeticError(
-            f"triangle area forms disagree: conditioned {value!r} vs polynomial {poly!r}"
+            "triangle area forms disagree: conditioned "
+            f"{np.ravel(value)[k]!r} vs polynomial {np.ravel(poly)[k]!r}"
         )
-    return value
+    return _snap(value)
 
 
 def volume(table: EntropyTable, w: str, x: str, y: str, z: str) -> float:
@@ -137,6 +146,27 @@ class HeronResult:
         return self.area is not None
 
 
+def _heron(d_ab, d_ac, d_bc):
+    """(area, defined, deficit) of side lengths, floats or arrays alike.
+
+    Where a factor is below -1e-12 the area is UNDEFINED, ``defined`` False
+    and ``deficit`` the most negative factor; see :func:`heron_area`.
+    """
+    f1, f2, f3 = d_ab + d_ac - d_bc, d_ab - d_ac + d_bc, -d_ab + d_ac + d_bc
+    f4 = d_ab + d_ac + d_bc
+    deficit = np.minimum(np.minimum(f1, f2), f3)
+    defined = deficit >= -VIOLATION_TOL
+    product = _snap(f1) * _snap(f2) * _snap(f3) * _snap(f4)
+    area = np.where(defined, 0.25 * np.sqrt(np.where(defined, product, 0.0)), UNDEFINED)
+    return area, defined, deficit
+
+
+def _heron_result(area, defined, deficit) -> HeronResult:
+    if defined:
+        return HeronResult(area=float(area), violated=False)
+    return HeronResult(area=None, violated=True, deficit=float(deficit))
+
+
 def heron_area(d_ab: float, d_ac: float, d_bc: float) -> HeronResult:
     """Heron's formula with explicit triangle-inequality detection.
 
@@ -147,17 +177,7 @@ def heron_area(d_ab: float, d_ac: float, d_bc: float) -> HeronResult:
     """
     if min(d_ab, d_ac, d_bc) < -VIOLATION_TOL:
         raise ValueError("side lengths must be nonnegative")
-    factors = [
-        d_ab + d_ac - d_bc,
-        d_ab - d_ac + d_bc,
-        -d_ab + d_ac + d_bc,
-        d_ab + d_ac + d_bc,
-    ]
-    worst = min(factors[:3])
-    if worst < -VIOLATION_TOL:
-        return HeronResult(area=None, violated=True, deficit=worst)
-    snapped = [0.0 if abs(f) <= VIOLATION_TOL else f for f in factors]
-    return HeronResult(area=0.25 * math.sqrt(math.prod(snapped)), violated=False)
+    return _heron_result(*_heron(d_ab, d_ac, d_bc))
 
 
 @dataclass(frozen=True)
@@ -171,10 +191,12 @@ class PathCheck:
 
 
 def quad_path_check(d_direct: float, d_1: float, d_2: float, d_3: float) -> PathCheck:
-    """Check the quadrilateral inequality direct <= leg1 + leg2 + leg3."""
-    for d in (d_direct, d_1, d_2, d_3):
-        if d < -VIOLATION_TOL:
-            raise ValueError("lengths must be nonnegative")
+    """Check the quadrilateral inequality direct <= leg1 + leg2 + leg3.
+
+    Array lengths check a batch of quadrilaterals, one value per field each.
+    """
+    if any(np.any(d < -VIOLATION_TOL) for d in (d_direct, d_1, d_2, d_3)):
+        raise ValueError("lengths must be nonnegative")
     path_sum = d_1 + d_2 + d_3
     margin = d_direct - path_sum
     return PathCheck(
@@ -282,26 +304,32 @@ class FaceGeometry:
         }
 
 
-def _face_geometry(table: EntropyTable, x: str, y: str, z: str) -> FaceGeometry:
-    a_info = area(table, x, y, z)
+def triangle(table: EntropyTable, x: str, y: str, z: str) -> tuple:
+    """(d_xy, d_xz, d_yz, area_info, area_euclid, euclid_defined, deficit,
+    ratio) of the triangle (x, y, z): scalars, or arrays over a batched table.
+
+    Where the edges break the triangle inequality, ``area_euclid`` and
+    ``ratio`` are UNDEFINED and ``deficit`` is the most negative Heron
+    factor; ``ratio`` is also UNDEFINED where ``area_info`` is below 1e-12.
+    """
     d_xy, d_xz, d_yz = distance(table, x, y), distance(table, x, z), distance(table, y, z)
-    heron = heron_area(d_xy, d_xz, d_yz)
-    if heron.defined and a_info >= VIOLATION_TOL:
-        ratio = heron.area / a_info
-    else:
-        ratio = UNDEFINED
-    dm = np.zeros((3, 3))
-    dm[0, 1] = dm[1, 0] = d_xy
-    dm[0, 2] = dm[2, 0] = d_xz
-    dm[1, 2] = dm[2, 1] = d_yz
-    cm = cayley_menger_embeddable(dm, target_dim=2)
-    return FaceGeometry(
-        vertices=(x, y, z),
-        area_info=a_info,
-        heron=heron,
-        ratio=ratio,
-        cm_embeddable_2d=cm.embeddable,
-    )
+    a_info = area(table, x, y, z)
+    a_euclid, defined, deficit = _heron(d_xy, d_xz, d_yz)
+    has_ratio = defined & (a_info >= VIOLATION_TOL)
+    ratio = np.where(has_ratio, a_euclid / np.where(has_ratio, a_info, 1.0), UNDEFINED)
+    return d_xy, d_xz, d_yz, a_info, a_euclid, defined, deficit, ratio
+
+
+def _face_geometry(table: EntropyTable, labels, vertices) -> list[FaceGeometry]:
+    """Face of the triangle ``labels`` in each table row, named by ``vertices``."""
+    columns = [np.atleast_1d(c).tolist() for c in triangle(table, *labels)]
+    faces = []
+    for names, d_xy, d_xz, d_yz, a_info, euclid, defined, deficit, ratio in zip(vertices, *columns):
+        dm = np.array([[0.0, d_xy, d_xz], [d_xy, 0.0, d_yz], [d_xz, d_yz, 0.0]])
+        heron = _heron_result(euclid, defined, deficit)
+        cm = cayley_menger_embeddable(dm, target_dim=2)
+        faces.append(FaceGeometry(tuple(names), a_info, heron, ratio, cm.embeddable))
+    return faces
 
 
 @dataclass(frozen=True)
@@ -334,7 +362,7 @@ def simplex_report(table: EntropyTable) -> SimplexGeometry:
         (x, y): distance(table, x, y) for x, y in itertools.combinations(labels, 2)
     }
     faces = tuple(
-        _face_geometry(table, x, y, z) for x, y, z in itertools.combinations(labels, 3)
+        _face_geometry(table, face, [face])[0] for face in itertools.combinations(labels, 3)
     )
     vol = volume(table, *labels) if len(labels) == 4 else None
     return SimplexGeometry(
@@ -420,36 +448,25 @@ def octahedron_report(
     def vertex(slot: int, idx: int) -> str:
         return f"{observers[slot]}{idx}"
 
-    tables = {}
-    for combo in itertools.product((0, 1), repeat=3):
-        settings = [pairs[slot][combo[slot]] for slot in range(3)]
-        tables[combo] = build_entropy_table(joint_distribution(state, settings))
+    # the eight runs, one setting per observer, as one batch of tables
+    combos = list(itertools.product((0, 1), repeat=3))
+    runs = [[pairs[slot][combo[slot]] for slot in range(3)] for combo in combos]
+    polars = [[s.polar for s in run] for run in runs]
+    azimuths = [[s.azimuth for s in run] for run in runs]
+    table = EntropyTable(observers, subset_entropies(joint_probs(state, polars, azimuths)))
 
     # edges: cross-observer vertex pairs, from a run holding both settings
     edges = {}
     for s1, s2 in itertools.combinations(range(3), 2):
-        other = 3 - s1 - s2
+        lengths = distance(table, observers[s1], observers[s2]).tolist()
         for i, j in itertools.product((0, 1), repeat=2):
             combo = [0, 0, 0]
             combo[s1], combo[s2] = i, j
-            table = tables[tuple(combo)]
-            edges[(vertex(s1, i), vertex(s2, j))] = distance(
-                table, observers[s1], observers[s2]
-            )
+            edges[(vertex(s1, i), vertex(s2, j))] = lengths[combos.index(tuple(combo))]
 
-    faces = []
-    for combo in itertools.product((0, 1), repeat=3):
-        table = tables[combo]
-        geo = _face_geometry(table, *observers)
-        faces.append(
-            FaceGeometry(
-                vertices=tuple(vertex(slot, combo[slot]) for slot in range(3)),
-                area_info=geo.area_info,
-                heron=geo.heron,
-                ratio=geo.ratio,
-                cm_embeddable_2d=geo.cm_embeddable_2d,
-            )
-        )
+    faces = _face_geometry(
+        table, observers, [[vertex(slot, combo[slot]) for slot in range(3)] for combo in combos]
+    )
 
     def edge_length(u: str, v: str):
         return edges.get((u, v), edges.get((v, u)))

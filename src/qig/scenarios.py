@@ -3,7 +3,6 @@ critical-point classification, and detector-angle violation searches."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -11,18 +10,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .born import joint_distribution
-from .entropy import build_entropy_table
-from .geometry import (
-    UNDEFINED,
-    VIOLATION_TOL,
-    PathCheck,
-    area,
-    distance,
-    heron_area,
-    quad_path_check,
-)
-from .states import DetectorSetting, StateVector, make_named_state
+from .born import joint_probs
+from .entropy import EntropyTable, subset_entropies
+from .geometry import PathCheck, distance, quad_path_check, triangle
+from .states import StateVector, make_named_state
 
 SWEEP_STATES = ("ghz", "w", "product_v")
 DEFAULT_GRID = 91  # one-degree steps over [0, pi/2]
@@ -32,13 +23,12 @@ DEFAULT_GRID = 91  # one-degree steps over [0, pi/2]
 # Two observers, two detectors each: the quadrilateral
 
 
-def pair_distance(state: StateVector, polar_a: float, polar_b: float) -> float:
-    """Information distance between two observers of a 2-qubit state."""
-    dist = joint_distribution(
-        state,
-        [DetectorSetting("A", polar_a), DetectorSetting("B", polar_b)],
-    )
-    return distance(build_entropy_table(dist), "A", "B")
+def _cross_distances(state: StateVector, a1, a2, b1, b2) -> np.ndarray:
+    """[d_a1b1, d_a1b2, d_a2b1, d_a2b2] over N angle quadruples, as one 2-qubit batch."""
+    alice = np.concatenate([a1, a1, a2, a2])
+    bob = np.concatenate([b1, b2, b1, b2])
+    probs = joint_probs(state, np.stack([alice, bob], axis=1))
+    return distance(EntropyTable(("A", "B"), subset_entropies(probs)), "A", "B").reshape(4, -1)
 
 
 @dataclass(frozen=True)
@@ -78,10 +68,7 @@ def quadrilateral_report(
 ) -> QuadrilateralReport:
     a1, a2 = alice_polars
     b1, b2 = bob_polars
-    d_a1b1 = pair_distance(state, a1, b1)
-    d_a1b2 = pair_distance(state, a1, b2)
-    d_a2b1 = pair_distance(state, a2, b1)
-    d_a2b2 = pair_distance(state, a2, b2)
+    d_a1b1, d_a1b2, d_a2b1, d_a2b2 = _cross_distances(state, [a1], [a2], [b1], [b2])[:, 0].tolist()
     return QuadrilateralReport(
         angles={"a1": a1, "a2": a2, "b1": b1, "b2": b2},
         d_a1b1=d_a1b1,
@@ -155,18 +142,18 @@ def schumacher_scenario(delta: float, state: StateVector | None = None) -> Viola
     Three detour hops then sit at relative angle d while the direct edge
     sits at 3d; the margin is direct minus detour.
     """
+    return _scan_rows(state, np.array([delta], dtype=float))[0]
+
+
+def _scan_rows(state: StateVector | None, deltas: np.ndarray) -> list[ViolationScanRow]:
     if state is None:
         state = make_named_state("singlet_sym", 2)
-    report = quadrilateral_report(state, (0.0, 2 * delta), (delta, 3 * delta))
-    return ViolationScanRow(
-        delta=float(delta),
-        d_a1b1=report.d_a1b1,
-        d_a1b2=report.d_a1b2,
-        d_a2b1=report.d_a2b1,
-        d_a2b2=report.d_a2b2,
-        margin=report.check.margin,
-        violated=report.check.violated,
-    )
+    d = _cross_distances(state, np.zeros_like(deltas), 2 * deltas, deltas, 3 * deltas)
+    check = quad_path_check(d[1], d[0], d[2], d[3])
+    return [
+        ViolationScanRow(*row)
+        for row in zip(deltas.tolist(), *d.tolist(), check.margin.tolist(), check.violated.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -182,9 +169,7 @@ def scan_delta(lo: float, hi: float, steps: int, state: StateVector | None = Non
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if state is None:
-        state = make_named_state("singlet_sym", 2)
-    rows = tuple(schumacher_scenario(d, state) for d in np.linspace(lo, hi, steps))
+    rows = tuple(_scan_rows(state, np.linspace(lo, hi, steps)))
     idx = max(range(len(rows)), key=lambda i: rows[i].margin)
     return ScanResult(rows=rows, best=rows[idx], best_on_boundary=idx in (0, len(rows) - 1))
 
@@ -221,37 +206,16 @@ class SweepRow:
 
 def surface_point(state: StateVector, beta: float, gamma: float) -> SweepRow:
     """Triangle geometry of a tripartite state at detector angles (0, beta, gamma)."""
-    table = build_entropy_table(
-        joint_distribution(
-            state,
-            [
-                DetectorSetting("A", 0.0),
-                DetectorSetting("B", beta),
-                DetectorSetting("C", gamma),
-            ],
-        )
-    )
-    d_ab = distance(table, "A", "B")
-    d_ac = distance(table, "A", "C")
-    d_bc = distance(table, "B", "C")
-    a_info = area(table, "A", "B", "C")
-    heron = heron_area(d_ab, d_ac, d_bc)
-    a_euclid = heron.area if heron.defined else UNDEFINED
-    if heron.defined and a_info >= VIOLATION_TOL:
-        ratio = heron.area / a_info
-    else:
-        ratio = UNDEFINED
-    return SweepRow(
-        beta=float(beta),
-        gamma=float(gamma),
-        d_ab=d_ab,
-        d_ac=d_ac,
-        d_bc=d_bc,
-        area_info=a_info,
-        area_euclid=a_euclid,
-        euclid_defined=heron.defined,
-        ratio=ratio,
-    )
+    return _surface_rows(state, np.array([beta], dtype=float), np.array([gamma], dtype=float))[0]
+
+
+def _surface_rows(state: StateVector, betas: np.ndarray, gammas: np.ndarray) -> list[SweepRow]:
+    """Rows at detector angles (0, beta, gamma), all points in one batch."""
+    probs = joint_probs(state, np.stack([np.zeros_like(betas), betas, gammas], axis=1))
+    table = EntropyTable(("A", "B", "C"), subset_entropies(probs))
+    d_ab, d_ac, d_bc, a_info, a_euclid, defined, _, ratio = triangle(table, "A", "B", "C")
+    columns = (betas, gammas, d_ab, d_ac, d_bc, a_info, a_euclid, defined, ratio)
+    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def sweep_surface(state_name: str, grid_n: int = DEFAULT_GRID) -> list[SweepRow]:
@@ -265,7 +229,8 @@ def sweep_surface(state_name: str, grid_n: int = DEFAULT_GRID) -> list[SweepRow]
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     state = make_named_state(state_name, 3)
     angles = np.linspace(0.0, np.pi / 2, grid_n)
-    return [surface_point(state, b, g) for b in angles for g in angles]
+    betas, gammas = np.meshgrid(angles, angles, indexing="ij")
+    return _surface_rows(state, betas.ravel(), gammas.ravel())
 
 
 def area_surface_fn(state_name: str) -> Callable[[float, float], float]:
@@ -289,18 +254,20 @@ class CriticalPoint:
         return {"beta": self.beta, "gamma": self.gamma, "value": self.value, "kind": self.kind}
 
 
-def _classify_stencil(center: float, ew: tuple, ns: tuple, diag: tuple, anti: tuple, tol: float) -> str:
-    """Classify from second differences along the four grid directions.
+def _classify_stencil(v: np.ndarray, i: int, j: int, tol: float) -> str:
+    """Classify grid point (i, j) of ``v`` from second differences along the
+    four grid directions.
 
     Directional differences are used instead of a Hessian eigen-test: the
     area surfaces contain p log p creases whose cross-stencil pollution
     would otherwise flip saddle verdicts.
     """
+    center = v[i, j]
     seconds = [
-        ew[0] - 2 * center + ew[1],
-        ns[0] - 2 * center + ns[1],
-        diag[0] - 2 * center + diag[1],
-        anti[0] - 2 * center + anti[1],
+        v[i - 1, j] - 2 * center + v[i + 1, j],
+        v[i, j - 1] - 2 * center + v[i, j + 1],
+        v[i - 1, j - 1] - 2 * center + v[i + 1, j + 1],
+        v[i - 1, j + 1] - 2 * center + v[i + 1, j - 1],
     ]
     if all(abs(s) <= tol for s in seconds):
         return "flat"
@@ -353,34 +320,24 @@ def critical_points(
     )
     grad_tol = 1e-6 * grad_scale
 
+    # dx[:-1] / dx[1:] are the backward / forward differences at interior points
+    dx, dy = np.diff(v, axis=0)[:, 1:-1], np.diff(v, axis=1)[1:-1]
+    extremal_x = (dx[:-1] * dx[1:] <= 0) | (np.abs(dx[1:] + dx[:-1]) <= 2 * grad_tol)
+    extremal_y = (dy[:, :-1] * dy[:, 1:] <= 0) | (np.abs(dy[:, 1:] + dy[:, :-1]) <= 2 * grad_tol)
     found = []
-    for i in range(1, betas.size - 1):
-        for j in range(1, gammas.size - 1):
-            dxm, dxp = v[i, j] - v[i - 1, j], v[i + 1, j] - v[i, j]
-            dym, dyp = v[i, j] - v[i, j - 1], v[i, j + 1] - v[i, j]
-            extremal_x = dxm * dxp <= 0 or abs(dxp + dxm) <= 2 * grad_tol
-            extremal_y = dym * dyp <= 0 or abs(dyp + dym) <= 2 * grad_tol
-            if not (extremal_x and extremal_y):
-                continue
-            kind = _classify_stencil(
-                v[i, j],
-                (v[i - 1, j], v[i + 1, j]),
-                (v[i, j - 1], v[i, j + 1]),
-                (v[i - 1, j - 1], v[i + 1, j + 1]),
-                (v[i - 1, j + 1], v[i + 1, j - 1]),
+    for i, j in (np.argwhere(extremal_x & extremal_y) + 1).tolist():
+        kind = _classify_stencil(v, i, j, tol)
+        point = CriticalPoint(float(betas[i]), float(gammas[j]), float(v[i, j]), kind)
+        if surface_fn is not None:
+            point = _refine_candidate(
+                point,
+                surface_fn,
+                float(betas[i + 1] - betas[i]),
+                float(gammas[j + 1] - gammas[j]),
                 tol,
+                refine_levels,
             )
-            point = CriticalPoint(float(betas[i]), float(gammas[j]), float(v[i, j]), kind)
-            if surface_fn is not None:
-                point = _refine_candidate(
-                    point,
-                    surface_fn,
-                    float(betas[i + 1] - betas[i]),
-                    float(gammas[j + 1] - gammas[j]),
-                    tol,
-                    refine_levels,
-                )
-            found.append(point)
+        found.append(point)
     return found
 
 
@@ -394,24 +351,10 @@ def _refine_candidate(point, surface_fn, h_beta, h_gamma, tol, levels):
         bs = beta + h_beta * np.arange(-2, 3)
         gs = gamma + h_gamma * np.arange(-2, 3)
         patch = np.array([[surface_fn(b, g) for g in gs] for b in bs])
-        best, best_grad = (2, 2), float("inf")
-        for i in range(1, 4):
-            for j in range(1, 4):
-                gsq = (patch[i + 1, j] - patch[i - 1, j]) ** 2 + (
-                    patch[i, j + 1] - patch[i, j - 1]
-                ) ** 2
-                if gsq < best_grad:
-                    best, best_grad = (i, j), gsq
-        i, j = best
+        gsq = (patch[2:, 1:-1] - patch[:-2, 1:-1]) ** 2 + (patch[1:-1, 2:] - patch[1:-1, :-2]) ** 2
+        i, j = (int(k) + 1 for k in np.unravel_index(np.argmin(gsq), gsq.shape))
         beta, gamma = float(bs[i]), float(gs[j])
-        kind = _classify_stencil(
-            patch[i, j],
-            (patch[i - 1, j], patch[i + 1, j]),
-            (patch[i, j - 1], patch[i, j + 1]),
-            (patch[i - 1, j - 1], patch[i + 1, j + 1]),
-            (patch[i - 1, j + 1], patch[i + 1, j - 1]),
-            tol,
-        )
+        kind = _classify_stencil(patch, i, j, tol)
     return CriticalPoint(beta, gamma, float(surface_fn(beta, gamma)), kind)
 
 
@@ -448,61 +391,62 @@ def search_violation(
     a1=0, b1=d, a2=2d, b2=3d; "free" optimizes (a2, b1, b2) with a1 pinned
     to 0.  Derivative free: a coarse grid seeds a Nelder-Mead polytope that
     spends the remaining evaluation budget.  Deterministic for fixed inputs.
+
+    The budget is a hard cap on evaluations.  The coarse grid has at least
+    2 points ("symmetric-delta") or 27 points ("free"); a budget that cannot
+    pay for that grid, the initial point if given, and one polish step is
+    rejected.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if parameterization not in ("symmetric-delta", "free"):
+        raise ValueError(f"unknown parameterization {parameterization!r}")
+    minimum = (2 if parameterization == "symmetric-delta" else 27) + (initial is not None) + 1
+    if budget < minimum:
+        raise ValueError(
+            f"budget {budget} is below the minimum {minimum} of a {parameterization} search: "
+            "its coarse grid, the initial point if given, and one polish step"
+        )
     evaluations = 0
 
-    def margin_of(a1, a2, b1, b2) -> float:
+    def margins(points: np.ndarray) -> np.ndarray:
+        """Margin at each row of (a2, b1, b2) angles, with a1 = 0."""
         nonlocal evaluations
-        evaluations += 1
-        return quadrilateral_report(state, (a1, a2), (b1, b2)).check.margin
+        evaluations += len(points)
+        a2, b1, b2 = points.T
+        d = _cross_distances(state, np.zeros_like(a2), a2, b1, b2)
+        return quad_path_check(d[1], d[0], d[2], d[3]).margin
 
     if parameterization == "symmetric-delta":
         lo, hi = bounds[0] if bounds else (0.005, 0.6)
-        objective = lambda x: -margin_of(0.0, 2 * x[0], x[0], 3 * x[0])
-        grid_budget = max(2, min(budget // 2, 256))
-        seeds = np.linspace(lo, hi, grid_budget)
-        if initial is not None:
-            seeds = np.append(seeds, initial[0])
-        values = [objective([d]) for d in seeds]
-        x0 = [float(seeds[int(np.argmin(values))])]
+        to_angles = lambda deltas: np.outer(deltas, [2.0, 1.0, 3.0])
+        grid = np.linspace(lo, hi, max(2, min(budget // 2, 256)))[:, None]
         box = [(lo, hi)]
-    elif parameterization == "free":
+    else:
         box = list(bounds) if bounds else [(0.0, np.pi)] * 3
         per_axis = max(3, int(round((max(budget // 2, 27)) ** (1 / 3))))
         per_axis = min(per_axis, 12)
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-        objective = lambda x: -margin_of(0.0, x[0], x[1], x[2])
-        best_x, best_v = None, float("inf")
-        for x in itertools.product(*axes):
-            val = objective(x)
-            if val < best_v:
-                best_x, best_v = list(x), val
-        if initial is not None:
-            val = objective(list(initial))
-            if val < best_v:
-                best_x, best_v = list(initial), val
-        x0 = best_x
-    else:
-        raise ValueError(f"unknown parameterization {parameterization!r}")
+        axes = np.meshgrid(*[np.linspace(lo, hi, per_axis) for lo, hi in box], indexing="ij")
+        grid = np.stack([axis.ravel() for axis in axes], axis=1)
+        to_angles = lambda points: points
+    if initial is not None:
+        grid = np.vstack([grid, np.asarray(initial, dtype=float)[None, : grid.shape[1]]])
+    # the whole grid is one batch; argmax keeps the first of equal margins
+    x0 = grid[int(np.argmax(margins(to_angles(grid))))]
+    objective = lambda x: -float(margins(to_angles(x[None]))[0])
 
-    remaining = max(budget - evaluations, 1)
     result = minimize(
         objective,
-        x0=np.asarray(x0, dtype=float),
+        x0=x0,
         method="Nelder-Mead",
         bounds=box,
-        options={"maxfev": remaining, "xatol": 1e-7, "fatol": 1e-12},
+        options={"maxfev": budget - evaluations, "xatol": 1e-7, "fatol": 1e-12},
     )
     # the initial simplex contains x0, so the polytope never loses to the seed
     best = result.x
     best_margin = -float(result.fun)
+    a2, b1, b2 = to_angles(best[None])[0].tolist()
+    angles = {"a1": 0.0, "a2": a2, "b1": b1, "b2": b2}
     if parameterization == "symmetric-delta":
-        d = float(best[0])
-        angles = {"a1": 0.0, "a2": 2 * d, "b1": d, "b2": 3 * d, "delta": d}
-    else:
-        angles = {"a1": 0.0, "a2": float(best[0]), "b1": float(best[1]), "b2": float(best[2])}
+        angles["delta"] = float(best[0])
     return SearchResult(
         parameterization=parameterization,
         angles=angles,

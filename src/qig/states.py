@@ -105,22 +105,6 @@ def detector_projectors(setting: DetectorSetting) -> tuple[Projector, Projector]
     return Projector(0, p0), Projector(1, p1)
 
 
-def measurement_rotation(setting: DetectorSetting) -> np.ndarray:
-    """2x2 unitary whose row o is the bra of the outcome-o direction.
-
-    Applying it to a qubit slot maps outcome probabilities onto squared
-    amplitudes in the computational basis (row index = outcome bit).
-    """
-    t, p = setting.polar, setting.azimuth
-    return np.array(
-        [
-            [-np.sin(t), np.exp(-1j * p) * np.cos(t)],
-            [np.cos(t), np.exp(-1j * p) * np.sin(t)],
-        ],
-        dtype=complex,
-    )
-
-
 def make_named_state(name: str, n: int) -> StateVector:
     """Build one of the named states on n qubits.
 

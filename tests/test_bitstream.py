@@ -170,3 +170,26 @@ class TestRecordText:
         b = OutcomeDistribution(("B",), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             total_variation(a, b)
+
+
+class TestRecordErrors:
+    def test_missing_observers_field(self):
+        with pytest.raises(ValueError, match="'observers='"):
+            parse_bit_record("# seed=1\n01\n")
+
+    def test_missing_seed_field(self):
+        with pytest.raises(ValueError, match="'seed='"):
+            parse_bit_record("# observers=A,B\n01\n")
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match=r"line 3: .* got '1'"):
+            parse_bit_record("# observers=A,B seed=1\n01\n1\n11\n")
+
+    def test_rows_wider_than_observers(self):
+        with pytest.raises(ValueError, match=r"line 2: expected 2 .* got '011'"):
+            parse_bit_record("# observers=A,B seed=1\n011\n010\n")
+
+    def test_non_bit_characters(self):
+        """Line numbers count blank lines, which the parser otherwise skips."""
+        with pytest.raises(ValueError, match=r"line 5: .* got '12'"):
+            parse_bit_record("# observers=A,B seed=1\n\n01\n\n12\n")

@@ -12,6 +12,7 @@ from qig import (
     OutcomeDistribution,
     conditional,
     joint_distribution,
+    joint_probs,
     make_named_state,
     marginalize,
     post_measurement_state,
@@ -339,3 +340,28 @@ class TestOutcomeDistribution:
     def test_json_dict_keys(self):
         dist = OutcomeDistribution(("A", "B"), np.array([0.5, 0.25, 0.25, 0.0]))
         assert dist.as_dict() == {"00": 0.5, "01": 0.25, "10": 0.25, "11": 0.0}
+
+
+class TestJointProbs:
+    def test_batch_rows_equal_single_tables(self):
+        """Each row of a batch is bit-identical to the batch-of-one table."""
+        rng = np.random.default_rng(57)
+        for n in (1, 2, 3, 5):
+            state = random_state(rng, n)
+            polars = rng.uniform(0.0, np.pi, size=(7, n))
+            azimuths = rng.uniform(0.0, 2 * np.pi, size=(7, n))
+            batch = joint_probs(state, polars, azimuths)
+            assert batch.shape == (7, 2**n)
+            for row, pol, azi in zip(batch, polars, azimuths):
+                labels = [chr(ord("A") + k) for k in range(n)]
+                settings = [DetectorSetting(*s) for s in zip(labels, pol, azi)]
+                assert np.array_equal(row, joint_distribution(state, settings).probs)
+
+    def test_azimuths_default_to_zero(self):
+        state = make_named_state("w", 3)
+        polars = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        assert np.array_equal(joint_probs(state, polars), joint_probs(state, polars, np.zeros((2, 3))))
+
+    def test_angle_count_mismatch(self):
+        with pytest.raises(ValueError):
+            joint_probs(make_named_state("ghz", 3), np.zeros((4, 2)))

@@ -270,3 +270,23 @@ class TestConfigAndIo:
         value = payload["geometry"]["edges"]["A-B"]
         # 6-sig-digit rounding would lose the tail
         assert abs(value - round(value, 4)) > 0
+
+
+class TestBatchedOutput:
+    def test_sweep_information_areas_never_negative(self, capsys):
+        """Float noise on flat faces prints as 0, never as a negative area."""
+        for state in ("ghz3", "w3", "product3"):
+            code, out, _ = run_cli(capsys, "sweep", "--state", state, "--grid", "91")
+            assert code == EXIT_OK
+            header, rows = parse_csv(out)
+            column = header.index("area_info")
+            assert len(rows) == 91 * 91
+            assert not [r for r in rows if r[column].startswith("-")]
+
+    def test_search_budget_below_floor_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "--state", "singlet-sym", "--param", "free", "--budget", "27",
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "minimum 28" in err

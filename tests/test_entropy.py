@@ -18,6 +18,7 @@ from qig import (
     make_named_state,
     sample_runs,
     shannon,
+    subset_entropies,
 )
 
 LOG2_3 = np.log2(3.0)
@@ -206,3 +207,58 @@ class TestEntropyProperties:
             record = sample_runs(dist, 1_000_000, seed=seed)
             errors.append(abs(shannon(empirical_distribution(record)) - exact))
         assert float(np.median(errors)) < 0.005
+
+
+def direct_subset_entropies(probs, n):
+    """H of every nonempty slot subset by summing the full table directly."""
+    tensor = probs.reshape((2,) * n)
+    out = {}
+    for r in range(1, n + 1):
+        for slots in itertools.combinations(range(n), r):
+            drop = tuple(i for i in range(n) if i not in slots)
+            p = (tensor.sum(axis=drop) if drop else tensor).reshape(-1)
+            p = p[p > 1e-15]
+            out[slots] = float(-(p * np.log2(p)).sum())
+    return out
+
+
+class TestSubsetLattice:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_direct_marginal_sums(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            dist = joint_distribution(random_state(rng, n), random_settings(rng, n))
+            table = build_entropy_table(dist)
+            for slots, h in direct_subset_entropies(dist.probs, n).items():
+                assert abs(table.joint(*(dist.observers[i] for i in slots)) - h) < 1e-12
+
+    def test_named_states_with_zero_outcomes(self):
+        """Tables with exact zeros (GHZ, W, product) follow the 0 log 0 rule."""
+        for name in ("ghz", "w", "product_v"):
+            dist = joint_distribution(
+                make_named_state(name, 5), [DetectorSetting(c, 0.0) for c in "ABCDE"]
+            )
+            table = build_entropy_table(dist)
+            for slots, h in direct_subset_entropies(dist.probs, 5).items():
+                assert abs(table.joint(*(dist.observers[i] for i in slots)) - h) < 1e-12
+
+    def test_batch_rows_equal_single_tables(self):
+        """Each row of a batched lattice walk is bit-identical to its own table."""
+        rng = np.random.default_rng(31)
+        dists = [joint_distribution(random_state(rng, 4), random_settings(rng, 4)) for _ in range(6)]
+        batch = subset_entropies(np.stack([d.probs for d in dists]))
+        for k, dist in enumerate(dists):
+            single = build_entropy_table(dist).subsets()
+            for key, h in single.items():
+                mask = sum(1 << dist.observers.index(o) for o in key)
+                assert batch[mask, k] == h
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 6), (3, 1)])
+    def test_bad_table_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            subset_entropies(np.full(shape, 0.5))
+
+    def test_observer_cap(self):
+        dist = OutcomeDistribution(tuple(f"O{k}" for k in range(21)), np.full(2**21, 2.0**-21))
+        with pytest.raises(ValueError, match="20 observers"):
+            build_entropy_table(dist)

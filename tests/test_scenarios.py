@@ -311,3 +311,53 @@ class TestQuadrilateralReport:
             "angles", "d_a1b1", "d_a1b2", "d_a2b1", "d_a2b2",
             "direct", "path_sum", "margin", "violated",
         }
+
+
+class TestBatchEqualsBatchOfOne:
+    @pytest.mark.parametrize("name", ["ghz", "w", "product_v"])
+    def test_sweep_rows_equal_surface_points(self, name):
+        state = make_named_state(name, 3)
+        for row in sweep_surface(name, grid_n=13):
+            assert surface_point(state, row.beta, row.gamma) == row
+
+    @pytest.mark.parametrize("name", ["singlet_sym", "singlet_antisym"])
+    def test_scan_rows_equal_scenario_points(self, name):
+        state = make_named_state(name, 2)
+        for row in scan_delta(0.01, 0.6, 41, state=state).rows:
+            assert schumacher_scenario(row.delta, state) == row
+
+    def test_rows_hold_python_scalars(self):
+        row = sweep_surface("w", grid_n=3)[4]
+        assert all(type(v) is float for v in (row.beta, row.d_ab, row.area_info, row.ratio))
+        assert type(row.euclid_defined) is bool
+        assert type(schumacher_scenario(0.1).violated) is bool
+
+
+SEARCH_FLOORS = {"symmetric-delta": 3, "free": 28}
+
+
+class TestSearchBudgetCap:
+    @pytest.mark.parametrize(
+        "param, budget",
+        [(p, b) for p, floor in SEARCH_FLOORS.items() for b in range(floor, 61)],
+    )
+    def test_evaluations_within_budget(self, param, budget):
+        result = search_violation(make_named_state("singlet_sym", 2), param, budget=budget)
+        assert result.evaluations <= budget
+
+    @pytest.mark.parametrize("param", sorted(SEARCH_FLOORS))
+    def test_initial_point_counts_against_budget(self, param):
+        initial = [0.15] if param == "symmetric-delta" else [0.3, 0.15, 0.45]
+        state = make_named_state("singlet_antisym", 2)
+        for budget in range(SEARCH_FLOORS[param] + 1, 61):
+            result = search_violation(state, param, initial=initial, budget=budget)
+            assert result.evaluations <= budget
+
+    @pytest.mark.parametrize("param", sorted(SEARCH_FLOORS))
+    def test_budget_below_floor_rejected(self, param):
+        state = make_named_state("singlet_sym", 2)
+        floor = SEARCH_FLOORS[param]
+        with pytest.raises(ValueError, match=f"minimum {floor}"):
+            search_violation(state, param, budget=floor - 1)
+        with pytest.raises(ValueError, match=f"minimum {floor + 1}"):
+            search_violation(state, param, initial=[0.1, 0.2, 0.3], budget=floor)
