@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .born import OutcomeDistribution, joint_distribution
-from .entropy import build_entropy_table
+from .entropy import EntropyTable, build_entropy_table, subset_entropies
 from .geometry import area, distance
 from .states import DetectorSetting, StateVector
 
@@ -110,7 +110,8 @@ def convergence_report(
     Each schedule entry samples from an independent substream spawned
     deterministically from the master seed.  Rows report total-variation
     distance to the exact joint plus absolute deviations of every pairwise
-    information distance (and the triangle area for three observers).
+    information distance (and the triangle area for three observers).  The
+    entries' entropy tables are computed as one batch.
     """
     schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -121,32 +122,38 @@ def convergence_report(
     pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]]
     exact_d = {pair: distance(exact_table, *pair) for pair in pairs}
     exact_area = area(exact_table, *labels) if len(labels) == 3 else None
+    if not schedule:
+        return []
 
-    rows = []
     children = np.random.SeedSequence(seed).spawn(len(schedule))
-    for n_runs, child in zip(schedule, children):
-        sub_seed = int(child.generate_state(1, np.uint64)[0])
-        record = sample_runs(exact, n_runs, seed=sub_seed)
-        emp = empirical_distribution(record)
-        emp_table = build_entropy_table(emp)
-        d_dev = {pair: abs(distance(emp_table, *pair) - exact_d[pair]) for pair in pairs}
-        a_dev = abs(area(emp_table, *labels) - exact_area) if exact_area is not None else None
-        rows.append(
-            ConvergenceRow(
-                n_samples=n_runs,
-                tv_distance=total_variation(emp, exact),
-                distance_dev=d_dev,
-                area_dev=a_dev,
-            )
+    emps = [
+        empirical_distribution(
+            sample_runs(exact, n_runs, seed=int(child.generate_state(1, np.uint64)[0]))
         )
-    return rows
+        for n_runs, child in zip(schedule, children)
+    ]
+    # row k of every batched entropy, distance and area is schedule entry k
+    emp_table = EntropyTable(labels, subset_entropies(np.stack([e.probs for e in emps])))
+    d_dev = {pair: abs(distance(emp_table, *pair) - exact_d[pair]) for pair in pairs}
+    a_dev = abs(area(emp_table, *labels) - exact_area) if exact_area is not None else None
+    return [
+        ConvergenceRow(
+            n_samples=n_runs,
+            tv_distance=total_variation(emp, exact),
+            distance_dev={pair: float(dev[k]) for pair, dev in d_dev.items()},
+            area_dev=None if a_dev is None else float(a_dev[k]),
+        )
+        for k, (n_runs, emp) in enumerate(zip(schedule, emps))
+    ]
 
 
 def format_bit_record(record: BitRecord) -> str:
     """Render a record as text: one '0'/'1' row per run, observer columns."""
     header = f"# observers={','.join(record.observers)} seed={record.seed}\n"
-    body = "\n".join("".join(str(int(b)) for b in row) for row in record.runs)
-    return header + body + "\n"
+    text = np.empty((record.n_runs, len(record.observers) + 1), dtype=np.uint8)
+    text[:, :-1] = record.runs + ord("0")
+    text[:, -1] = ord("\n")
+    return header + text.tobytes().decode("ascii")
 
 
 def write_bit_record(record: BitRecord, path) -> None:
@@ -171,11 +178,14 @@ def parse_bit_record(text: str) -> BitRecord:
     observers = tuple(fields["observers"].split(","))
     seed = int(fields["seed"])
     width = len(observers)
-    if set(map(len, lines[1:])) - {width} or set("".join(lines[1:])) - {"0", "1"}:
+    rows = lines[1:]
+    # one byte per bit; any other character encodes to a byte above '1'
+    bits = np.frombuffer("".join(rows).encode(errors="replace"), dtype=np.uint8) - ord("0")
+    if set(map(len, rows)) - {width} or np.any(bits > 1):
         numbered = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         k, row = next((k, r) for k, r in numbered[1:] if len(r) != width or r.strip("01"))
         raise ValueError(
             f"line {k}: expected {width} '0'/'1' characters (one per observer), got {row!r}"
         )
-    rows = [[int(c) for c in ln] for ln in lines[1:]]
-    return BitRecord(observers=observers, runs=np.array(rows, dtype=np.uint8), seed=seed)
+    runs = bits.reshape(len(rows), width) if rows else bits
+    return BitRecord(observers=observers, runs=runs, seed=seed)

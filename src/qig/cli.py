@@ -3,8 +3,9 @@ scans, searches, sampling, and report emission.
 
 Angles arrive in radians unless --degrees is given.  Numeric output is
 printed with 6 significant digits by default (--full-precision for 17).
-Exit codes: 0 success, 1 invalid configuration, 2 I/O failure.  Violations
-discovered by any command are data, not errors.
+Exit codes: 0 success, 1 invalid configuration or a failed numerical
+self-check (ArithmeticError), 2 I/O failure.  Violations discovered by any
+command are data, not errors.
 """
 
 from __future__ import annotations
@@ -364,10 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

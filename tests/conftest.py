@@ -1,8 +1,14 @@
 """Shared helpers for the test suite: random instances and closed-form oracles."""
 
 import numpy as np
+from hypothesis import settings
 
 from qig import DetectorSetting, OutcomeDistribution, StateVector
+
+# Every property test is seeded (the same examples on every run) and has no
+# per-example deadline, since wall time on a shared machine drifts.
+settings.register_profile("qig", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("qig")
 
 
 def random_state(rng, n):

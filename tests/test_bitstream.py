@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qig import (
     BitRecord,
     DetectorSetting,
     OutcomeDistribution,
+    area,
+    build_entropy_table,
     convergence_report,
+    distance,
     empirical_distribution,
     format_bit_record,
     joint_distribution,
@@ -16,6 +22,8 @@ from qig import (
     sample_runs,
     total_variation,
 )
+
+from conftest import random_settings, random_state
 
 
 def ghz_quarter():
@@ -142,6 +150,40 @@ class TestConvergenceReport:
         medians = np.median(tv, axis=0)
         assert np.all(np.diff(medians) <= 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batched_rows_equal_per_entry_tables(self, n):
+        """Each row equals the deviations of its own entry's entropy table."""
+        rng = np.random.default_rng(40 + n)
+        state = random_state(rng, n)
+        settings = random_settings(rng, n)
+        schedule, seed = [1, 10, 100, 1_000, 10_000], 17
+        rows = convergence_report(state, settings, schedule, seed=seed)
+        exact = joint_distribution(state, settings)
+        exact_table = build_entropy_table(exact)
+        labels = exact.observers
+        pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]]
+        children = np.random.SeedSequence(seed).spawn(len(schedule))
+        assert [row.n_samples for row in rows] == schedule
+        for row, n_runs, child in zip(rows, schedule, children):
+            sub_seed = int(child.generate_state(1, np.uint64)[0])
+            emp = empirical_distribution(sample_runs(exact, n_runs, seed=sub_seed))
+            table = build_entropy_table(emp)
+            assert row.tv_distance == total_variation(emp, exact)
+            assert row.distance_dev == {
+                pair: abs(distance(table, *pair) - distance(exact_table, *pair))
+                for pair in pairs
+            }
+            assert all(type(dev) is float for dev in row.distance_dev.values())
+            if n == 3:
+                assert type(row.area_dev) is float
+                assert row.area_dev == abs(area(table, *labels) - area(exact_table, *labels))
+            else:
+                assert row.area_dev is None
+
+    def test_empty_schedule(self):
+        state, settings, _ = ghz_quarter()
+        assert convergence_report(state, settings, [], seed=0) == []
+
     def test_schedule_must_increase(self):
         state, settings, _ = ghz_quarter()
         with pytest.raises(ValueError):
@@ -193,3 +235,69 @@ class TestRecordErrors:
         """Line numbers count blank lines, which the parser otherwise skips."""
         with pytest.raises(ValueError, match=r"line 5: .* got '12'"):
             parse_bit_record("# observers=A,B seed=1\n\n01\n\n12\n")
+
+
+CLEAN = "# observers=A,B,C seed=5\n011\n100\n111\n"
+
+
+class TestRecordTextForms:
+    """Every text form the parser accepts reads as the clean text does."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CLEAN.replace("\n", "\r\n"),
+            "# observers=A,B,C seed=5\n\n011\n\n\n100\n \n111\n\n",
+            "  # observers=A,B,C seed=5  \n 011\n100  \n\t111 \n",
+            CLEAN.rstrip("\n"),
+        ],
+        ids=["crlf", "blank-lines", "padded", "no-final-newline"],
+    )
+    def test_same_record_as_clean_text(self, text):
+        clean, back = parse_bit_record(CLEAN), parse_bit_record(text)
+        assert back.observers == clean.observers == ("A", "B", "C")
+        assert back.seed == clean.seed == 5
+        assert back.runs.dtype == clean.runs.dtype == np.uint8
+        assert np.array_equal(back.runs, clean.runs)
+        assert np.array_equal(clean.runs, [[0, 1, 1], [1, 0, 0], [1, 1, 1]])
+
+    def test_non_ascii_row_names_its_line(self):
+        with pytest.raises(ValueError, match=r"line 3: expected 2 .* got '0é'"):
+            parse_bit_record("# observers=A,B seed=1\n01\n0é\n")
+
+    def test_unencodable_row_names_its_line(self):
+        with pytest.raises(ValueError, match=r"line 2: expected 2 .* got '0\\ud800'"):
+            parse_bit_record("# observers=A,B seed=1\n0\ud800\n11\n")
+
+    def test_header_only_record(self):
+        with pytest.raises(ValueError, match=r"runs must be N x 2 with N >= 1, got \(0,\)"):
+            parse_bit_record("# observers=A,B seed=1\n")
+
+
+def reference_text(record):
+    """The record text written one row and one bit at a time."""
+    body = "\n".join("".join(str(int(b)) for b in row) for row in record.runs)
+    return f"# observers={','.join(record.observers)} seed={record.seed}\n" + body + "\n"
+
+
+@st.composite
+def bit_records(draw):
+    n = draw(st.integers(1, 8))
+    n_runs = draw(st.integers(1, 300))
+    runs = draw(hnp.arrays(np.uint8, (n_runs, n), elements=st.integers(0, 1)))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return BitRecord(tuple(chr(ord("A") + k) for k in range(n)), runs, seed=seed)
+
+
+class TestRecordTextProperty:
+    @given(bit_records())
+    def test_format_matches_per_row_reference(self, record):
+        assert format_bit_record(record) == reference_text(record)
+
+    @given(bit_records())
+    def test_parse_inverts_format(self, record):
+        back = parse_bit_record(format_bit_record(record))
+        assert back.observers == record.observers
+        assert back.seed == record.seed
+        assert back.runs.dtype == np.uint8
+        assert np.array_equal(back.runs, record.runs)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import qig.geometry
 from qig.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -290,3 +291,15 @@ class TestBatchedOutput:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "minimum 28" in err
+
+
+class TestNumericalGuard:
+    def test_area_form_disagreement_is_config_error(self, capsys, monkeypatch):
+        """A failed dual-form area check prints one error line, not a traceback."""
+        monkeypatch.setattr(qig.geometry, "AREA_FORM_TOL", -1.0)
+        code, out, err = run_cli(capsys, "probe", "--state", "ghz3", "--angles", "0,0.5,1.0")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: triangle area forms disagree")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
