@@ -109,6 +109,18 @@ class EntropyTable:
             return self.joint(*t)
         return self.joint(*(t | g)) - self.joint(*g)
 
+    def restrict(self, groups: Sequence[Sequence[str]], names: Sequence[str]) -> EntropyTable:
+        """Batched table over ``names``, which in row f stand for ``groups[f]``."""
+        h, k = np.asarray(self._h), len(names)
+        if h.ndim != 1:
+            raise ValueError(f"need one run's entropy table, got a batch of {h.shape[1]}")
+        if bad := [list(g) for g in groups if len(g) != k]:
+            raise ValueError(f"groups {bad} do not have the {k} observers of {list(names)}")
+        if unknown := {o for g in groups for o in g} - set(self.observers):
+            raise ValueError(f"unknown observers {sorted(unknown)}")
+        bits = np.array([[self._bits[o] for o in g] for g in groups], dtype=int).reshape(-1, k)
+        return EntropyTable(names, h[(np.arange(2**k)[:, None] >> np.arange(k) & 1) @ bits.T])
+
     def subsets(self):
         return {
             frozenset(o for o, bit in self._bits.items() if mask & bit): self._h[mask]

@@ -290,7 +290,11 @@ class FaceGeometry:
     area_info: float
     heron: HeronResult
     ratio: float  # Euclidean over information area; UNDEFINED sentinel when unavailable
-    cm_embeddable_2d: bool
+
+    @property
+    def cm_embeddable_2d(self) -> bool:
+        """Heron's verdict: the 3-point Cayley-Menger det is -16 Heron^2."""
+        return self.heron.defined
 
     def as_dict(self) -> dict:
         return {
@@ -322,14 +326,11 @@ def triangle(table: EntropyTable, x: str, y: str, z: str) -> tuple:
 
 def _face_geometry(table: EntropyTable, labels, vertices) -> list[FaceGeometry]:
     """Face of the triangle ``labels`` in each table row, named by ``vertices``."""
-    columns = [np.atleast_1d(c).tolist() for c in triangle(table, *labels)]
-    faces = []
-    for names, d_xy, d_xz, d_yz, a_info, euclid, defined, deficit, ratio in zip(vertices, *columns):
-        dm = np.array([[0.0, d_xy, d_xz], [d_xy, 0.0, d_yz], [d_xz, d_yz, 0.0]])
-        heron = _heron_result(euclid, defined, deficit)
-        cm = cayley_menger_embeddable(dm, target_dim=2)
-        faces.append(FaceGeometry(tuple(names), a_info, heron, ratio, cm.embeddable))
-    return faces
+    columns = [np.atleast_1d(c).tolist() for c in triangle(table, *labels)[3:]]
+    return [
+        FaceGeometry(tuple(names), a_info, _heron_result(euclid, defined, deficit), ratio)
+        for names, a_info, euclid, defined, deficit, ratio in zip(vertices, *columns)
+    ]
 
 
 @dataclass(frozen=True)
@@ -354,24 +355,21 @@ class SimplexGeometry:
 
 
 def simplex_report(table: EntropyTable) -> SimplexGeometry:
-    """Full geometry report for every observer in an entropy table."""
+    """Full geometry report for every observer in the entropy table of one run."""
     labels = table.observers
     if len(labels) < 2:
         raise ValueError("geometry needs at least two observers")
-    edges = {
-        (x, y): distance(table, x, y) for x, y in itertools.combinations(labels, 2)
-    }
-    faces = tuple(
-        _face_geometry(table, face, [face])[0] for face in itertools.combinations(labels, 3)
-    )
+    pairs = list(itertools.combinations(labels, 2))
+    ab = table.restrict([sorted(p) for p in pairs], "ab")
+    edges = dict(zip(pairs, distance(ab, "a", "b").tolist()))
+    batches = {}  # faces whose labels sort alike share a batch, so each runs as triangle() alone
+    for f in itertools.combinations(labels, 3):
+        batches.setdefault(tuple("abc"[sorted(f).index(v)] for v in f), []).append(f)
+    built = {f: face for names, batch in batches.items()
+             for f, face in zip(batch, _face_geometry(table.restrict(batch, names), names, batch))}
+    faces = tuple(built[f] for f in itertools.combinations(labels, 3))
     vol = volume(table, *labels) if len(labels) == 4 else None
-    return SimplexGeometry(
-        vertices=labels,
-        edges=edges,
-        faces=faces,
-        volume=vol,
-        content=k_volume(table, labels),
-    )
+    return SimplexGeometry(labels, edges, faces, vol, content=k_volume(table, labels))
 
 
 @dataclass(frozen=True)

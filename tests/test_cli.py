@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+
+import pytest
 
 import qig.geometry
 from qig.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -303,3 +306,50 @@ class TestNumericalGuard:
         assert err.startswith("error: triangle area forms disagree")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# Full-precision JSON of each command, as printed before faces were batched.
+# Numbers are compared to 1e-12, not bit for bit: the last bit of a log2 can
+# differ between CPUs and numpy builds. The order of each face's arithmetic is
+# pinned exactly by TestSimplexFacesProperty in test_geometry.py.
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN_REPORTS = {
+    "probe-w5": ("probe", "--state", "w5", "--angles", "0,0.3,0.7,1.1,1.9",
+                 "--azimuths", "0.2,0.9,1.4,2.8,0.5"),
+    "probe-product4": ("probe", "--state", "product4", "--angles", "0.1,0.6,1.2,2.5"),
+    "probe-ghz11": ("probe", "--state", "ghz11",
+                    "--angles", "0,0.1,0.25,0.4,0.5,0.7,0.9,1.2,1.6,2.1,2.9"),
+    "octa-w3": ("octa", "--state", "w3", "--angles", "A:0,0.3", "B:0.2,0.5", "C:0.1,0.4"),
+}
+
+
+def json_mismatches(got, want, path="$"):
+    """Where two parsed JSON documents differ, numbers to within 1e-12."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [m for k in want for m in json_mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in json_mismatches(g, w, f"{path}[{i}]")]
+    if isinstance(want, float) and type(got) in (int, float):
+        if math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
+            return []
+    elif type(got) is type(want) and got == want:
+        return []
+    return [f"{path}: got {got!r}, want {want!r}"]
+
+
+class TestGoldenReports:
+    def test_mismatch_names_the_field(self):
+        want = {"faces": [{"ratio": 0.5, "ok": True}], "n": 3}
+        assert json_mismatches({"faces": [{"ratio": 0.5 + 1e-14, "ok": True}], "n": 3}, want) == []
+        assert json_mismatches({"faces": [{"ratio": 0.6, "ok": 1}], "n": 3}, want) == [
+            "$.faces[0].ratio: got 0.6, want 0.5",
+            "$.faces[0].ok: got 1, want True",
+        ]
+
+    @pytest.mark.parametrize("name", GOLDEN_REPORTS)
+    def test_full_precision_json_matches_golden(self, capsys, name):
+        code, out, _ = run_cli(capsys, *GOLDEN_REPORTS[name], "--full-precision")
+        assert code == EXIT_OK
+        want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        assert json_mismatches(json.loads(out), want) == []

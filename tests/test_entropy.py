@@ -147,6 +147,29 @@ class TestEntropyTable:
         with pytest.raises(ValueError):
             table.joint("Z")
 
+    def test_restrict_gathers_each_group(self):
+        table = build_entropy_table(tripartite("w", 0.4, 1.0))
+        groups = [("A", "C"), ("C", "B")]
+        sub = table.restrict(groups, "xy")
+        for f, (u, v) in enumerate(groups):
+            assert sub.joint("x")[f] == table.joint(u)
+            assert sub.joint("y")[f] == table.joint(v)
+            assert sub.joint("x", "y")[f] == table.joint(u, v)
+
+    def test_restrict_rejects_groups_of_the_wrong_size(self):
+        """Two 3-observer groups hold six labels, which would fill three
+        2-observer rows; the groups are refused by name instead."""
+        table = build_entropy_table(tripartite("w", 0.4, 1.0))
+        with pytest.raises(ValueError, match=r"groups \[\['A', 'B', 'C'\], \['C', 'B', 'A'\]\]"):
+            table.restrict([("A", "B", "C"), ("C", "B", "A")], "ab")
+        with pytest.raises(ValueError, match=r"groups \[\['A'\]\]"):
+            table.restrict([("A", "B"), ("A",)], "ab")
+
+    def test_restrict_unknown_observer(self):
+        table = build_entropy_table(tripartite("w", 0.4, 1.0))
+        with pytest.raises(ValueError, match=r"unknown observers \['Z'\]"):
+            table.restrict([("A", "Z")], "ab")
+
 
 class TestEntropyProperties:
     def test_bounds_and_monotonicity(self):

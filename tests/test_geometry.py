@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_entropy, product_distribution, random_settings, random_state
 
 from qig import (
     DetectorSetting,
+    EntropyTable,
     OutcomeDistribution,
     area,
     build_entropy_table,
@@ -21,8 +24,11 @@ from qig import (
     k_volume,
     make_named_state,
     octahedron_report,
+    joint_probs,
     quad_path_check,
     simplex_report,
+    subset_entropies,
+    triangle,
     volume,
 )
 
@@ -320,6 +326,66 @@ class TestSimplexReport:
             "vertices", "area_info", "area_euclid", "euclid_defined",
             "triangle_violated", "ratio", "cm_embeddable_2d",
         }
+
+    def test_batched_table_rejected(self):
+        state = make_named_state("w", 3)
+        probs = joint_probs(state, [[0.0, 0.5, 1.0], [0.2, 0.4, 0.6]])
+        table = EntropyTable(("A", "B", "C"), subset_entropies(probs))
+        with pytest.raises(ValueError, match="batch of 2"):
+            simplex_report(table)
+
+
+class TestSimplexFacesProperty:
+    """Every face and edge of a report is the one triangle() and distance()
+    give on that face alone, bit for bit, in any observer order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), shuffled=st.booleans())
+    @settings(max_examples=40)
+    def test_faces_and_edges_equal_single_calls(self, seed, n, shuffled):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, n)
+        detectors = random_settings(rng, n)
+        if shuffled:  # observers out of label order
+            labels = rng.permutation([d.observer for d in detectors])
+            detectors = [DetectorSetting(lbl, d.polar, d.azimuth) for lbl, d in zip(labels, detectors)]
+        table = build_entropy_table(joint_distribution(state, detectors))
+        report = simplex_report(table)
+        observers = table.observers
+        assert list(report.edges) == list(itertools.combinations(observers, 2))
+        for (x, y), d in report.edges.items():
+            assert d == distance(table, x, y)
+        assert [f.vertices for f in report.faces] == list(itertools.combinations(observers, 3))
+        for face in report.faces:
+            d_xy, d_xz, d_yz, a_info, a_euclid, defined, deficit, ratio = triangle(
+                table, *face.vertices
+            )
+            assert face.area_info == a_info
+            assert face.heron.defined == defined
+            assert face.heron.area == (float(a_euclid) if defined else None)
+            assert face.heron.deficit == (0.0 if defined else float(deficit))
+            assert face.ratio == ratio
+            lengths = [[0.0, d_xy, d_xz], [d_xy, 0.0, d_yz], [d_xz, d_yz, 0.0]]
+            assert face.cm_embeddable_2d == cayley_menger_embeddable(lengths, 2).embeddable
+
+    @pytest.mark.parametrize("sides, ok", [((1.0, 1.0, 2.0), True), ((1.0, 1.0, 3.0), False)])
+    def test_heron_and_cayley_menger_agree(self, sides, ok):
+        """For three points the Cayley-Menger determinant is -16 Heron^2, so
+        the two plane-embeddability verdicts agree, degenerate case included,
+        and a report's face carries that verdict."""
+        a, b, c = sides
+        heron = heron_area(a, b, c)
+        lengths = [[0.0, a, b], [a, 0.0, c], [b, c, 0.0]]
+        assert heron.defined is ok
+        assert cayley_menger_embeddable(lengths, 2).embeddable is ok
+        if ok:
+            assert heron.area == 0.0
+        # single-observer entropies 0, so D(X, Y) = 2 H(XY): sides a, b, c on
+        # AB, AC, BC (no distribution has these entropies; the face check
+        # reads lengths only)
+        table = EntropyTable(("A", "B", "C"), [0.0, 0.0, 0.0, a / 2, 0.0, b / 2, c / 2, 2.0])
+        (face,) = simplex_report(table).faces
+        assert face.heron.defined is ok
+        assert face.cm_embeddable_2d is ok
 
 
 def two_settings(label, th0, th1):
