@@ -1,6 +1,7 @@
 """Tests for Shannon entropy machinery and the subset-entropy table."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qig import (
     shannon,
     subset_entropies,
 )
+from qig import entropy as entropy_module
 
 LOG2_3 = np.log2(3.0)
 
@@ -245,6 +247,51 @@ def direct_subset_entropies(probs, n):
     return out
 
 
+def depth_first_subset_entropies(probs):
+    """The depth-first lattice walk that the level walk replaced, kept as the
+    bit-for-bit reference: each marginal summed from its canonical parent over
+    one length-2 axis, each entropy a contiguous row reduction."""
+    probs = np.asarray(probs, dtype=float)
+    rows, size = probs.shape
+    h = np.zeros((size, rows))
+
+    def row_entropies(p):
+        logs = np.log2(p, out=np.zeros(p.shape), where=p > 1e-15)
+        return -(p * logs).sum(axis=-1)
+
+    def walk(marg, observers, mask, first):
+        h[mask] = row_entropies(marg.reshape(rows, -1))
+        for pos in range(first, len(observers)):
+            rest = observers[:pos] + observers[pos + 1:]
+            walk(marg.sum(axis=1 + pos), rest, mask & ~(1 << observers[pos]), pos)
+
+    n = size.bit_length() - 1
+    walk(probs.reshape((rows,) + (2,) * n), tuple(range(n)), size - 1, 0)
+    return h
+
+
+def tables_with_zeros(rng, n, rows):
+    """float[rows, 2^n] outcome tables with exact zeros: the GHZ, W and product
+    tables at zero polars first (n >= 2), then skewed random rows that also
+    hold entries below the 1e-15 cut."""
+    p = rng.random((rows, 2**n)) ** 4
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[rng.random(p.shape) < 0.05] = 1e-17
+    p[:, 0] += 1e-3
+    p /= p.sum(axis=1, keepdims=True)
+    named = [joint_distribution(make_named_state(name, n), [DetectorSetting(f"O{k}", 0.0)
+                                                          for k in range(n)]).probs
+             for name in ("ghz", "w", "product_v")] if n >= 2 else []
+    return np.concatenate([np.array(named).reshape(-1, 2**n), p])[:rows]
+
+
+def assert_matches_depth_first(probs):
+    got, want = subset_entropies(probs), depth_first_subset_entropies(probs)
+    assert got.shape == want.shape
+    assert np.array_equal(got[1:], want[1:])
+    assert np.all(got[0] == 0.0)
+
+
 class TestSubsetLattice:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_direct_marginal_sums(self, n):
@@ -285,3 +332,38 @@ class TestSubsetLattice:
         dist = OutcomeDistribution(tuple(f"O{k}" for k in range(21)), np.full(2**21, 2.0**-21))
         with pytest.raises(ValueError, match="20 observers"):
             build_entropy_table(dist)
+
+    # every nonempty row equals the depth-first walk's bit for bit; the empty
+    # subset's row is exactly zero
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_one_table_bit_identical_to_depth_first(self, n):
+        for table in tables_with_zeros(np.random.default_rng(n), n, 4):
+            assert_matches_depth_first(table[None])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("rows", [2, 4, 125, 441])
+    def test_batch_bit_identical_to_depth_first(self, n, rows):
+        assert_matches_depth_first(tables_with_zeros(np.random.default_rng(10 * n + rows), n, rows))
+
+    @pytest.mark.parametrize("limit", [10, 40, 300])
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_depth_first_above_levels_below(self, monkeypatch, limit, n):
+        """A small subtree size moves the split between the depth-first part
+        and the level walk to every depth these tables have."""
+        monkeypatch.setattr(entropy_module, "_LEVEL_WALK_ENTRIES", limit)
+        tables = tables_with_zeros(np.random.default_rng(1000 * limit + n), n, 4)
+        for table in tables:
+            assert_matches_depth_first(table[None])
+        assert_matches_depth_first(tables)
+
+    def test_memory_stays_order_two_to_the_n(self):
+        """One 16-observer table: no whole level, and never the 3^n lattice
+        (43 million entries, 330 MiB), is held at once."""
+        probs = tables_with_zeros(np.random.default_rng(16), 16, 1)
+        tracemalloc.start()
+        try:
+            subset_entropies(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
