@@ -11,11 +11,14 @@ command are data, not errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bitstream import DEFAULT_RUNS, format_bit_record, sample_runs
@@ -111,6 +114,16 @@ def resolve_out(path_text: str | None):
 # output formatting
 
 
+def _records(obj) -> dict | list[dict]:
+    """A dataclass as a dict in field order, or, when its fields are array
+    columns, one such dict per row."""
+    names = [f.name for f in dataclasses.fields(obj)]
+    values = [getattr(obj, name) for name in names]
+    if isinstance(values[0], np.ndarray):
+        return [dict(zip(names, row)) for row in zip(*(v.tolist() for v in values))]
+    return dict(zip(names, values))
+
+
 def _round_floats(obj, digits: int):
     if isinstance(obj, float):
         return float(f"{obj:.{digits}g}")
@@ -118,7 +131,9 @@ def _round_floats(obj, digits: int):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v, digits) for v in obj]
-    return obj
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+        return obj
+    return _round_floats(_records(obj), digits)
 
 
 def emit_json(payload: dict, args) -> str:
@@ -136,11 +151,16 @@ def _csv_cell(value, digits: int) -> str:
     return str(value)
 
 
-def emit_csv(header: list[str], rows: list[list], args) -> str:
-    digits = 17 if args.full_precision else 6
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v, digits) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def emit_table(table, payload: dict, args) -> str:
+    """JSON of ``payload``, or CSV of ``table``, a dataclass of array columns:
+    its field names are the header, and each row is one %-template (a bool
+    prints as 1 or 0 under %g)."""
+    if args.format == "json":
+        return emit_json(payload, args)
+    names = [f.name for f in dataclasses.fields(table)]
+    template = ",".join([f"%.{17 if args.full_precision else 6}g"] * len(names)) + "\n"
+    columns = [getattr(table, name).tolist() for name in names]
+    return ",".join(names) + "\n" + "".join(template % row for row in zip(*columns))
 
 
 def write_output(text: str, out_path) -> None:
@@ -158,6 +178,8 @@ def _flatten_report(d: dict, prefix: str = "") -> list[list]:
     rows = []
     for key, value in d.items():
         name = f"{prefix}{key}"
+        if dataclasses.is_dataclass(value):
+            value = _records(value)
         if isinstance(value, dict):
             rows.extend(_flatten_report(value, prefix=f"{name}."))
         elif isinstance(value, list):
@@ -174,7 +196,9 @@ def _flatten_report(d: dict, prefix: str = "") -> list[list]:
 def emit_report(payload: dict, args) -> str:
     if args.format == "json":
         return emit_json(payload, args)
-    return emit_csv(["metric", "value"], _flatten_report(payload), args)
+    digits = 17 if args.full_precision else 6
+    rows = [f"{name},{_csv_cell(value, digits)}" for name, value in _flatten_report(payload)]
+    return "\n".join(["metric,value", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +227,15 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-SWEEP_HEADER = [
-    "beta", "gamma", "d_ab", "d_ac", "d_bc",
-    "area_info", "area_euclid", "euclid_defined", "ratio",
-]
-
-
 def cmd_sweep(args) -> int:
     name = args.state.lower()
     mapping = {"ghz3": "ghz", "w3": "w", "product3": "product_v"}
     if name not in mapping:
         raise CliError(f"sweep supports ghz3, w3, product3; got {args.state!r}")
     rows = sweep_surface(mapping[name], grid_n=args.grid)
-    if args.format == "csv":
-        text = emit_csv(SWEEP_HEADER, [list(r.as_dict().values()) for r in rows], args)
-    else:
-        text = emit_json({"state": args.state, "grid_n": args.grid,
-                          "rows": [r.as_dict() for r in rows]}, args)
-    write_output(text, resolve_out(args.out))
+    payload = {"state": args.state, "grid_n": args.grid, "rows": rows}
+    write_output(emit_table(rows, payload, args), resolve_out(args.out))
     return EXIT_OK
-
-
-SCAN_HEADER = ["delta", "d_a1b2", "d_a1b1", "d_a2b1", "d_a2b2", "margin", "violated"]
 
 
 def cmd_scan(args) -> int:
@@ -239,19 +250,9 @@ def cmd_scan(args) -> int:
     if args.degrees:
         lo, hi = lo * math.pi / 180.0, hi * math.pi / 180.0
     result = scan_delta(lo, hi, steps, state=state)
-    if args.format == "csv":
-        text = emit_csv(SCAN_HEADER, [list(r.as_dict().values()) for r in result.rows], args)
-    else:
-        text = emit_json(
-            {
-                "state": args.state,
-                "rows": [r.as_dict() for r in result.rows],
-                "best": result.best.as_dict(),
-                "best_on_boundary": result.best_on_boundary,
-            },
-            args,
-        )
-    write_output(text, resolve_out(args.out))
+    payload = {"state": args.state, "rows": result.rows, "best": result.best,
+               "best_on_boundary": result.best_on_boundary}
+    write_output(emit_table(result.rows, payload, args), resolve_out(args.out))
     return EXIT_OK
 
 
@@ -266,7 +267,7 @@ def cmd_search(args) -> int:
     result = search_violation(
         state, parameterization=args.param, initial=initial, budget=args.budget
     )
-    payload = {"state": args.state, "search": result.as_dict()}
+    payload = {"state": args.state, "search": result}
     write_output(emit_report(payload, args), resolve_out(args.out))
     return EXIT_OK
 

@@ -33,11 +33,6 @@ def shannon(dist: OutcomeDistribution, subset: Sequence[str] | None = None) -> f
     return entropy_bits(dist.probs)
 
 
-def joint_entropy(dist: OutcomeDistribution, subset: Sequence[str]) -> float:
-    """Joint entropy H of an observer subset."""
-    return shannon(dist, subset)
-
-
 def conditional_entropy(
     dist: OutcomeDistribution, target: Sequence[str], given: Sequence[str]
 ) -> float:

@@ -4,7 +4,7 @@ critical-point classification, and detector-angle violation searches."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 
 from .born import joint_probs
 from .entropy import EntropyTable, subset_entropies
-from .geometry import PathCheck, distance, quad_path_check, triangle
+from .geometry import VIOLATION_TOL, PathCheck, distance, quad_path_check, triangle
 from .states import StateVector, make_named_state
 
 SWEEP_STATES = ("ghz", "w", "product_v")
@@ -114,26 +114,23 @@ PRESETS = {
 }
 
 
+def _point(batch, i: int = 0):
+    """Point ``i`` of a batch of columns, with a Python scalar in every field."""
+    return type(batch)(*(getattr(batch, f.name)[i].item() for f in fields(batch)))
+
+
 @dataclass(frozen=True)
 class ViolationScanRow:
+    """The symmetric chain at one delta, or at many as one array per field
+    (``scan_delta``).  Field order is the scan CSV order."""
+
     delta: float
-    d_a1b1: float
     d_a1b2: float
+    d_a1b1: float
     d_a2b1: float
     d_a2b2: float
     margin: float
     violated: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "d_a1b2": self.d_a1b2,
-            "d_a1b1": self.d_a1b1,
-            "d_a2b1": self.d_a2b1,
-            "d_a2b2": self.d_a2b2,
-            "margin": self.margin,
-            "violated": self.violated,
-        }
 
 
 def schumacher_scenario(delta: float, state: StateVector | None = None) -> ViolationScanRow:
@@ -142,23 +139,20 @@ def schumacher_scenario(delta: float, state: StateVector | None = None) -> Viola
     Three detour hops then sit at relative angle d while the direct edge
     sits at 3d; the margin is direct minus detour.
     """
-    return _scan_rows(state, np.array([delta], dtype=float))[0]
+    return _point(_scan_rows(state, np.array([delta], dtype=float)))
 
 
-def _scan_rows(state: StateVector | None, deltas: np.ndarray) -> list[ViolationScanRow]:
+def _scan_rows(state: StateVector | None, deltas: np.ndarray) -> ViolationScanRow:
     if state is None:
         state = make_named_state("singlet_sym", 2)
     d = _cross_distances(state, np.zeros_like(deltas), 2 * deltas, deltas, 3 * deltas)
     check = quad_path_check(d[1], d[0], d[2], d[3])
-    return [
-        ViolationScanRow(*row)
-        for row in zip(deltas.tolist(), *d.tolist(), check.margin.tolist(), check.violated.tolist())
-    ]
+    return ViolationScanRow(deltas, d[1], d[0], d[2], d[3], check.margin, check.violated)
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    rows: tuple[ViolationScanRow, ...]
+    rows: ViolationScanRow  # columns, one entry per delta
     best: ViolationScanRow
     best_on_boundary: bool
 
@@ -169,9 +163,9 @@ def scan_delta(lo: float, hi: float, steps: int, state: StateVector | None = Non
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    rows = tuple(_scan_rows(state, np.linspace(lo, hi, steps)))
-    idx = max(range(len(rows)), key=lambda i: rows[i].margin)
-    return ScanResult(rows=rows, best=rows[idx], best_on_boundary=idx in (0, len(rows) - 1))
+    rows = _scan_rows(state, np.linspace(lo, hi, steps))
+    idx = int(np.argmax(rows.margin))  # the first of equal margins
+    return ScanResult(rows=rows, best=_point(rows, idx), best_on_boundary=idx in (0, steps - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +174,9 @@ def scan_delta(lo: float, hi: float, steps: int, state: StateVector | None = Non
 
 @dataclass(frozen=True)
 class SweepRow:
+    """Triangle geometry at detector angles (0, beta, gamma), or at many as one
+    array per field (``sweep_surface``).  Field order is the sweep CSV order."""
+
     beta: float
     gamma: float
     d_ab: float
@@ -190,38 +187,24 @@ class SweepRow:
     euclid_defined: bool
     ratio: float  # UNDEFINED sentinel when either area is unavailable
 
-    def as_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "d_ab": self.d_ab,
-            "d_ac": self.d_ac,
-            "d_bc": self.d_bc,
-            "area_info": self.area_info,
-            "area_euclid": self.area_euclid,
-            "euclid_defined": self.euclid_defined,
-            "ratio": self.ratio,
-        }
-
 
 def surface_point(state: StateVector, beta: float, gamma: float) -> SweepRow:
     """Triangle geometry of a tripartite state at detector angles (0, beta, gamma)."""
-    return _surface_rows(state, np.array([beta], dtype=float), np.array([gamma], dtype=float))[0]
+    return _point(_surface_rows(state, np.array([beta], float), np.array([gamma], float)))
 
 
-def _surface_rows(state: StateVector, betas: np.ndarray, gammas: np.ndarray) -> list[SweepRow]:
-    """Rows at detector angles (0, beta, gamma), all points in one batch."""
+def _surface_rows(state: StateVector, betas: np.ndarray, gammas: np.ndarray) -> SweepRow:
+    """Columns at detector angles (0, beta, gamma), all points in one batch."""
     probs = joint_probs(state, np.stack([np.zeros_like(betas), betas, gammas], axis=1))
     table = EntropyTable(("A", "B", "C"), subset_entropies(probs))
     d_ab, d_ac, d_bc, a_info, a_euclid, defined, _, ratio = triangle(table, "A", "B", "C")
-    columns = (betas, gammas, d_ab, d_ac, d_bc, a_info, a_euclid, defined, ratio)
-    return [SweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    return SweepRow(betas, gammas, d_ab, d_ac, d_bc, a_info, a_euclid, defined, ratio)
 
 
-def sweep_surface(state_name: str, grid_n: int = DEFAULT_GRID) -> list[SweepRow]:
+def sweep_surface(state_name: str, grid_n: int = DEFAULT_GRID) -> SweepRow:
     """Grid the (beta, gamma) square [0, pi/2]^2 for one named tripartite state.
 
-    The first observer's angle is pinned to 0; rows are emitted beta-major.
+    The first observer's angle is pinned to 0; the columns run beta-major.
     """
     if state_name not in SWEEP_STATES:
         raise ValueError(f"sweep states are {SWEEP_STATES}, got {state_name!r}")
@@ -233,10 +216,16 @@ def sweep_surface(state_name: str, grid_n: int = DEFAULT_GRID) -> list[SweepRow]
     return _surface_rows(state, betas.ravel(), gammas.ravel())
 
 
-def area_surface_fn(state_name: str) -> Callable[[float, float], float]:
-    """Information-area surface of a named state as a plain callable."""
+def area_surface_fn(state_name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Information-area surface of a named state: angle arrays in, an array
+    of the same shape out, all points in one batch."""
     state = make_named_state(state_name, 3)
-    return lambda beta, gamma: surface_point(state, beta, gamma).area_info
+
+    def area_info(beta, gamma):
+        beta, gamma = np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
+        return _surface_rows(state, beta.ravel(), gamma.ravel()).area_info.reshape(beta.shape)
+
+    return area_info
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +238,6 @@ class CriticalPoint:
     gamma: float
     value: float
     kind: str  # max | min | saddle | flat | degenerate
-
-    def as_dict(self) -> dict:
-        return {"beta": self.beta, "gamma": self.gamma, "value": self.value, "kind": self.kind}
 
 
 def _classify_stencil(v: np.ndarray, i: int, j: int, tol: float) -> str:
@@ -280,23 +266,20 @@ def _classify_stencil(v: np.ndarray, i: int, j: int, tol: float) -> str:
     return "degenerate"
 
 
-def _grid_from_rows(rows: Sequence[SweepRow], field: str):
-    betas = np.array(sorted({row.beta for row in rows}))
-    gammas = np.array(sorted({row.gamma for row in rows}))
+def _grid_from_rows(rows: SweepRow, field: str):
+    betas, bi = np.unique(rows.beta, return_inverse=True)
+    gammas, gi = np.unique(rows.gamma, return_inverse=True)
     values = np.full((betas.size, gammas.size), np.nan)
-    bi = {b: i for i, b in enumerate(betas)}
-    gi = {g: j for j, g in enumerate(gammas)}
-    for row in rows:
-        values[bi[row.beta], gi[row.gamma]] = getattr(row, field)
+    values[bi, gi] = getattr(rows, field)
     if np.any(np.isnan(values)):
         raise ValueError("rows do not cover a full rectangular grid")
     return betas, gammas, values
 
 
 def critical_points(
-    rows: Sequence[SweepRow],
+    rows: SweepRow,
     field: str = "area_info",
-    surface_fn: Callable[[float, float], float] | None = None,
+    surface_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     refine_levels: int = 3,
 ) -> list[CriticalPoint]:
     """Locate and classify stationary points of a swept surface.
@@ -307,6 +290,9 @@ def critical_points(
     of second differences along the two axes and the two diagonals.  With
     ``surface_fn`` given, each candidate is re-gridded locally at halving
     cell sizes (``refine_levels`` times) to sharpen its location and verdict.
+
+    ``surface_fn`` maps a beta and a gamma array of one shape to the surface
+    values in that shape (``area_surface_fn``); each 5x5 patch is one call.
     """
     betas, gammas, v = _grid_from_rows(rows, field)
     if betas.size < 5 or gammas.size < 5:
@@ -350,12 +336,12 @@ def _refine_candidate(point, surface_fn, h_beta, h_gamma, tol, levels):
         # flattest central gradient before classifying
         bs = beta + h_beta * np.arange(-2, 3)
         gs = gamma + h_gamma * np.arange(-2, 3)
-        patch = np.array([[surface_fn(b, g) for g in gs] for b in bs])
+        patch = np.asarray(surface_fn(*np.meshgrid(bs, gs, indexing="ij")), dtype=float)
         gsq = (patch[2:, 1:-1] - patch[:-2, 1:-1]) ** 2 + (patch[1:-1, 2:] - patch[1:-1, :-2]) ** 2
         i, j = (int(k) + 1 for k in np.unravel_index(np.argmin(gsq), gsq.shape))
         beta, gamma = float(bs[i]), float(gs[j])
         kind = _classify_stencil(patch, i, j, tol)
-    return CriticalPoint(beta, gamma, float(surface_fn(beta, gamma)), kind)
+    return CriticalPoint(beta, gamma, float(surface_fn(np.array(beta), np.array(gamma))), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +354,6 @@ class SearchResult:
     angles: dict
     margin: float
     evaluations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "parameterization": self.parameterization,
-            "angles": dict(self.angles),
-            "margin": self.margin,
-            "evaluations": self.evaluations,
-        }
 
 
 def search_violation(
@@ -391,6 +369,8 @@ def search_violation(
     a1=0, b1=d, a2=2d, b2=3d; "free" optimizes (a2, b1, b2) with a1 pinned
     to 0.  Derivative free: a coarse grid seeds a Nelder-Mead polytope that
     spends the remaining evaluation budget.  Deterministic for fixed inputs.
+    The default "free" box is [0, pi] per angle, whose coarse grid leaves out
+    pi (the same detector as 0); a caller's ``bounds`` are gridded inclusive.
 
     The budget is a hard cap on evaluations.  The coarse grid has at least
     2 points ("symmetric-delta") or 27 points ("free"); a budget that cannot
@@ -424,13 +404,17 @@ def search_violation(
         box = list(bounds) if bounds else [(0.0, np.pi)] * 3
         per_axis = max(3, int(round((max(budget // 2, 27)) ** (1 / 3))))
         per_axis = min(per_axis, 12)
-        axes = np.meshgrid(*[np.linspace(lo, hi, per_axis) for lo, hi in box], indexing="ij")
+        # the default box is half-open: a polarizer turned by pi is the same detector
+        axes = [np.linspace(lo, hi, per_axis, endpoint=bool(bounds)) for lo, hi in box]
+        axes = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([axis.ravel() for axis in axes], axis=1)
         to_angles = lambda points: points
     if initial is not None:
         grid = np.vstack([grid, np.asarray(initial, dtype=float)[None, : grid.shape[1]]])
-    # the whole grid is one batch; argmax keeps the first of equal margins
-    x0 = grid[int(np.argmax(margins(to_angles(grid))))]
+    # the whole grid is one batch; symmetric settings tie up to rounding, so
+    # the seed is the first point within VIOLATION_TOL of the best margin
+    grid_margins = margins(to_angles(grid))
+    x0 = grid[int(np.argmax(grid_margins >= grid_margins.max() - VIOLATION_TOL))]
     objective = lambda x: -float(margins(to_angles(x[None]))[0])
 
     result = minimize(

@@ -122,8 +122,8 @@ def test_criterion_03_w_point_values():
 def test_criterion_04_separable_point_values_and_flat_grid():
     row = surface_point(make_named_state("product_v", 3), PI4, PI4)
     rows = sweep_surface("product_v", GRID_N)
-    worst = max(r.area_euclid for r in rows if r.euclid_defined)
-    all_defined = all(r.euclid_defined for r in rows)
+    worst = float(rows.area_euclid[rows.euclid_defined].max())
+    all_defined = bool(rows.euclid_defined.all())
     checks = [
         ("d_ab", *close(row.d_ab, 1.0, 1e-10)),
         ("d_ac", *close(row.d_ac, 1.0, 1e-10)),
@@ -141,7 +141,7 @@ def test_criterion_05_no_triangle_violations_on_grids():
     counts = {}
     for name in ("ghz", "w", "product_v"):
         rows = sweep_surface(name, GRID_N)
-        counts[name] = sum(1 for r in rows if not r.euclid_defined)
+        counts[name] = int((~rows.euclid_defined).sum())
     elapsed = time.perf_counter() - t0
     checks = [
         (f"{name}: zero Heron violations on 91x91", n == 0, f"{n} violations")
@@ -193,24 +193,23 @@ def test_criterion_08_bounds_and_symmetry_suites():
     # distance/area bounds on the three 91x91 grids
     for name in ("ghz", "w", "product_v"):
         rows = sweep_surface(name, GRID_N)
-        d_ok = all(
-            -1e-12 <= d <= 2.0 + 1e-12 for r in rows for d in (r.d_ab, r.d_ac, r.d_bc)
-        )
-        a_ok = all(-1e-10 <= r.area_info <= 3.0 + 1e-10 for r in rows)
+        d = np.stack([rows.d_ab, rows.d_ac, rows.d_bc])
+        d_ok = bool(np.all((-1e-12 <= d) & (d <= 2.0 + 1e-12)))
+        a_ok = bool(np.all((-1e-10 <= rows.area_info) & (rows.area_info <= 3.0 + 1e-10)))
         checks.append((f"{name}: every distance in [0, 2]", d_ok, "91x91 grid"))
         checks.append((f"{name}: every area in [0, 3]", a_ok, "91x91 grid"))
         # dual-form agreement, sampled across the same grid
         state = make_named_state(name, 3)
-        sampled = rows[:: 97]
+        sampled = zip(rows.beta[:: 97].tolist(), rows.gamma[:: 97].tolist())
         worst_gap = 0.0
-        for r in sampled:
+        for beta, gamma in sampled:
             table = build_entropy_table(
                 joint_distribution(
                     state,
                     [
                         DetectorSetting("A", 0.0),
-                        DetectorSetting("B", r.beta),
-                        DetectorSetting("C", r.gamma),
+                        DetectorSetting("B", beta),
+                        DetectorSetting("C", gamma),
                     ],
                 )
             )

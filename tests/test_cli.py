@@ -308,7 +308,8 @@ class TestNumericalGuard:
         assert "Traceback" not in err
 
 
-# Full-precision JSON of each command, as printed before faces were batched.
+# Full-precision JSON of each command, as printed before faces were batched
+# (probe, octa) and before sweep and scan results became columns (sweep, scan).
 # Numbers are compared to 1e-12, not bit for bit: the last bit of a log2 can
 # differ between CPUs and numpy builds. The order of each face's arithmetic is
 # pinned exactly by TestSimplexFacesProperty in test_geometry.py.
@@ -320,12 +321,16 @@ GOLDEN_REPORTS = {
     "probe-ghz11": ("probe", "--state", "ghz11",
                     "--angles", "0,0.1,0.25,0.4,0.5,0.7,0.9,1.2,1.6,2.1,2.9"),
     "octa-w3": ("octa", "--state", "w3", "--angles", "A:0,0.3", "B:0.2,0.5", "C:0.1,0.4"),
+    "sweep-w3": ("sweep", "--state", "w3", "--grid", "5", "--format", "json"),
+    "scan-singlet-sym": ("scan", "--state", "singlet-sym", "--delta", "0.05:0.3:11",
+                         "--format", "json"),
 }
 
 
 def json_mismatches(got, want, path="$"):
-    """Where two parsed JSON documents differ, numbers to within 1e-12."""
-    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+    """Where two parsed JSON documents differ, numbers to within 1e-12; the
+    keys of a dict must come in the same order."""
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
         return [m for k in want for m in json_mismatches(got[k], want[k], f"{path}.{k}")]
     if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
         return [m for i, (g, w) in enumerate(zip(got, want))
@@ -333,7 +338,7 @@ def json_mismatches(got, want, path="$"):
     if isinstance(want, float) and type(got) in (int, float):
         if math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             return []
-    elif type(got) is type(want) and got == want:
+    elif type(got) is type(want) and not isinstance(want, dict) and got == want:
         return []
     return [f"{path}: got {got!r}, want {want!r}"]
 
@@ -346,6 +351,7 @@ class TestGoldenReports:
             "$.faces[0].ratio: got 0.6, want 0.5",
             "$.faces[0].ok: got 1, want True",
         ]
+        assert json_mismatches({"n": 3, "faces": [{"ratio": 0.5, "ok": True}]}, want) != []
 
     @pytest.mark.parametrize("name", GOLDEN_REPORTS)
     def test_full_precision_json_matches_golden(self, capsys, name):

@@ -15,7 +15,6 @@ from qig import (
     conditional_entropy,
     empirical_distribution,
     joint_distribution,
-    joint_entropy,
     make_named_state,
     sample_runs,
     shannon,
@@ -62,10 +61,10 @@ class TestJointEntropy:
     def test_ghz_pair_at_quarter_turn(self):
         """Pairwise table (1/4, 1/4, 1/4, 1/4) carries 2 bits."""
         dist = tripartite("ghz", np.pi / 4, 0.1)
-        assert abs(joint_entropy(dist, ("A", "B")) - 2.0) < 1e-12
+        assert abs(shannon(dist, ("A", "B")) - 2.0) < 1e-12
 
     def test_independent_bits_add(self):
-        assert abs(joint_entropy(independent_fair_bits(2), ("A", "B")) - 2.0) < 1e-15
+        assert abs(shannon(independent_fair_bits(2), ("A", "B")) - 2.0) < 1e-15
 
     def test_w_pair_entropy_closed_form(self):
         """H_AB = log2(3) - (sin^2 b log sin^2 b + cos^2 b log cos^2 b)/3."""
@@ -75,7 +74,7 @@ class TestJointEntropy:
             sb, cb = np.sin(beta) ** 2, np.cos(beta) ** 2
             expected = LOG2_3 - (sb * np.log2(sb) + cb * np.log2(cb)) / 3
             dist = tripartite("w", beta, gamma)
-            assert abs(joint_entropy(dist, ("A", "B")) - expected) < 1e-12
+            assert abs(shannon(dist, ("A", "B")) - expected) < 1e-12
 
     def test_deterministic_observer_adds_nothing(self):
         """First observer of |vvv> always fires: H_ABC equals H_BC."""
@@ -83,8 +82,8 @@ class TestJointEntropy:
         for _ in range(10):
             beta, gamma = rng.uniform(0, np.pi / 2, size=2)
             dist = tripartite("product_v", beta, gamma)
-            h_abc = joint_entropy(dist, ("A", "B", "C"))
-            h_bc = joint_entropy(dist, ("B", "C"))
+            h_abc = shannon(dist, ("A", "B", "C"))
+            h_bc = shannon(dist, ("B", "C"))
             assert abs(h_abc - h_bc) < 1e-12
 
 
@@ -97,7 +96,7 @@ class TestConditionalEntropy:
         rng = np.random.default_rng(22)
         for _ in range(25):
             dist = joint_distribution(random_state(rng, 3), random_settings(rng, 3))
-            h_abc = joint_entropy(dist, ("A", "B", "C"))
+            h_abc = shannon(dist, ("A", "B", "C"))
             chained = (
                 shannon(dist, ("A",))
                 + conditional_entropy(dist, ("B",), ("A",))

@@ -1,13 +1,16 @@
 """Tests for quadrilateral scans, area surfaces, critical points, and the
 violation search."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, pair_distance_oracle
+from conftest import binary_entropy, pair_distance_oracle, random_state
 
+import qig.born
+import qig.scenarios
 from qig import (
     PRESETS,
     SweepRow,
@@ -81,7 +84,7 @@ class TestScanDelta:
         steps = 500
         result = scan_delta(0.01, 0.5, steps)
         step = (0.5 - 0.01) / (steps - 1)
-        margins = np.array([row.margin for row in result.rows])
+        margins = result.rows.margin
         assert np.max(np.abs(np.diff(margins))) < 22 * step
 
     def test_bad_arguments(self):
@@ -186,10 +189,10 @@ class TestSweepSurface:
 
     def test_grid_shape_and_order(self):
         rows = sweep_surface("ghz", grid_n=7)
-        assert len(rows) == 49
-        assert rows[0].beta == 0.0 and rows[0].gamma == 0.0
-        assert rows[6].beta == 0.0 and abs(rows[6].gamma - np.pi / 2) < 1e-15
-        assert abs(rows[48].beta - np.pi / 2) < 1e-15
+        assert all(getattr(rows, f.name).shape == (49,) for f in dataclasses.fields(rows))
+        assert rows.beta[0] == 0.0 and rows.gamma[0] == 0.0
+        assert rows.beta[6] == 0.0 and abs(rows.gamma[6] - np.pi / 2) < 1e-15
+        assert abs(rows.beta[48] - np.pi / 2) < 1e-15
 
     def test_rows_match_scratch_recomputation(self):
         """Pipeline rows equal values recomputed without the cached table."""
@@ -242,11 +245,11 @@ class TestCriticalPoints:
 
     def test_constant_surface_flat_everywhere(self):
         grid = np.linspace(0, 1, 9)
-        rows = [
-            SweepRow(beta=b, gamma=g, d_ab=1, d_ac=1, d_bc=1,
-                     area_info=0.75, area_euclid=0.4, euclid_defined=True, ratio=0.5)
-            for b in grid for g in grid
-        ]
+        betas, gammas = np.meshgrid(grid, grid, indexing="ij")
+        ones = np.ones(81)
+        rows = SweepRow(beta=betas.ravel(), gamma=gammas.ravel(), d_ab=ones, d_ac=ones, d_bc=ones,
+                        area_info=0.75 * ones, area_euclid=0.4 * ones,
+                        euclid_defined=np.ones(81, bool), ratio=0.5 * ones)
         points = critical_points(rows)
         assert len(points) == 49  # every interior point of the 9x9 grid
         assert all(p.kind == "flat" for p in points)
@@ -303,6 +306,66 @@ class TestSearchViolation:
             search_violation(state, "simulated-annealing", budget=10)
 
 
+class _Seeded(Exception):
+    """Stops a search at its polish step, carrying the grid point it starts from."""
+
+
+def grid_seed(monkeypatch, state, budget, ulps=None):
+    """The coarse-grid point a free search polishes from, with every Born
+    table entry moved by ``ulps`` (-1, 0 or +1 per entry) when given."""
+    def joint_probs(*args):
+        probs = qig.born.joint_probs(*args)
+        if ulps is None:
+            return probs
+        signs = ulps.choice([-1.0, 0.0, 1.0], size=probs.shape)
+        return np.where(signs == 0, probs, np.nextafter(probs, 2.0 * signs))
+
+    def minimize(fun, x0, **options):
+        raise _Seeded(tuple(x0.tolist()))
+
+    monkeypatch.setattr(qig.scenarios, "joint_probs", joint_probs)
+    monkeypatch.setattr(qig.scenarios, "minimize", minimize)
+    with pytest.raises(_Seeded) as seeded:
+        search_violation(state, "free", budget=budget)
+    return seeded.value.args[0]
+
+
+class TestSearchGridTies:
+    """Grid points related by a symmetry have margins equal up to rounding
+    (a polarizer turned by pi, the reflection of every angle, any b2 when
+    a2 = a1); a 1-ulp change of the Born table must not move the seed."""
+
+    @pytest.mark.parametrize("budget", [60, 300, 1000, 4000])
+    @pytest.mark.parametrize("name", ["singlet_sym", "singlet_antisym", "product_v", "random"])
+    def test_one_ulp_keeps_the_grid_seed(self, monkeypatch, name, budget):
+        if name == "random":
+            state = random_state(np.random.default_rng(budget), 2)
+        else:
+            state = make_named_state(name, 2)
+        seed = grid_seed(monkeypatch, state, budget)
+        for k in range(4):
+            assert grid_seed(monkeypatch, state, budget, np.random.default_rng(k)) == seed
+
+    def test_default_box_grid_leaves_out_pi(self, monkeypatch):
+        """The default [0, pi] box grids each angle half-open; given bounds
+        stay inclusive."""
+        grids = []
+        real_cross_distances = qig.scenarios._cross_distances
+
+        def cross_distances(state, a1, a2, b1, b2):
+            grids.append(np.stack([a2, b1, b2]))
+            return real_cross_distances(state, a1, a2, b1, b2)
+
+        monkeypatch.setattr(qig.scenarios, "_cross_distances", cross_distances)
+        state = make_named_state("singlet_sym", 2)
+        search_violation(state, "free", budget=300)
+        assert grids[0].shape == (3, 125)
+        assert grids[0].min() == 0.0 and grids[0].max() == 4 * np.pi / 5
+        grids.clear()
+        search_violation(state, "free", budget=300, bounds=[(0.0, np.pi)] * 3)
+        assert grids[0].min() == 0.0 and grids[0].max() == np.pi
+
+
 class TestQuadrilateralReport:
     def test_payload_shape(self):
         state = make_named_state("singlet_sym", 2)
@@ -317,17 +380,26 @@ class TestBatchEqualsBatchOfOne:
     @pytest.mark.parametrize("name", ["ghz", "w", "product_v"])
     def test_sweep_rows_equal_surface_points(self, name):
         state = make_named_state(name, 3)
-        for row in sweep_surface(name, grid_n=13):
-            assert surface_point(state, row.beta, row.gamma) == row
+        rows = sweep_surface(name, grid_n=13)
+        for k in range(rows.beta.size):
+            point = surface_point(state, rows.beta[k], rows.gamma[k])
+            for f in dataclasses.fields(rows):
+                assert getattr(point, f.name) == getattr(rows, f.name)[k], (k, f.name)
 
     @pytest.mark.parametrize("name", ["singlet_sym", "singlet_antisym"])
     def test_scan_rows_equal_scenario_points(self, name):
         state = make_named_state(name, 2)
-        for row in scan_delta(0.01, 0.6, 41, state=state).rows:
-            assert schumacher_scenario(row.delta, state) == row
+        rows = scan_delta(0.01, 0.6, 41, state=state).rows
+        for k in range(rows.delta.size):
+            point = schumacher_scenario(rows.delta[k], state)
+            for f in dataclasses.fields(rows):
+                assert getattr(point, f.name) == getattr(rows, f.name)[k], (k, f.name)
 
     def test_rows_hold_python_scalars(self):
-        row = sweep_surface("w", grid_n=3)[4]
+        """A batch holds arrays; its one-point case holds Python scalars."""
+        rows = sweep_surface("w", grid_n=3)
+        assert all(type(getattr(rows, f.name)) is np.ndarray for f in dataclasses.fields(rows))
+        row = surface_point(make_named_state("w", 3), rows.beta[4], rows.gamma[4])
         assert all(type(v) is float for v in (row.beta, row.d_ab, row.area_info, row.ratio))
         assert type(row.euclid_defined) is bool
         assert type(schumacher_scenario(0.1).violated) is bool
